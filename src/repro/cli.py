@@ -168,32 +168,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         max_dim=args.max_dim if args.max_dim > 0 else None,
         max_nnz=args.max_nnz if args.max_nnz > 0 else None,
     )
-    tiered = None
-    if args.tiered and not selector.degraded:
-        from repro.core.tiered import TieredSelector
-
-        if args.tier_margin is not None:
-            tiered = TieredSelector(selector.selector, args.tier_margin)
-        else:
-            tiered = TieredSelector.calibrate(selector.selector)
     # An unreadable matrix is unrecoverable — there is nothing to
     # recommend a format *for* — so it exits 2, fallback or not.  The
     # streaming reader enforces the declared-size caps at the size line,
     # so a forged giant header is rejected before any entry is read.
     try:
-        if tiered is not None:
-            decision = tiered.select_stream(args.matrix, policy)
-        else:
-            vec = extract_features_streaming(args.matrix, policy)[None, :]
+        vec = extract_features_streaming(args.matrix, policy)[None, :]
     except Exception as exc:
         print(f"repro predict: unusable input matrix {args.matrix!r}: "
               f"{exc}", file=sys.stderr)
         return 2
-    if tiered is not None:
-        print(f"recommended format: {decision.format} "
-              f"(tier {decision.tier}, centroid #{decision.centroid} of "
-              f"{selector.selector.n_centroids})")
-        return 0
     label = selector.predict_one(vec)
     if selector.error is not None:
         if args.strict:
@@ -266,23 +250,6 @@ def _extract_task(path: str) -> tuple[np.ndarray | None, str | None]:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _tiered_task(
-    path: str, tiered=None
-) -> tuple[tuple[str, int, int] | None, str | None]:
-    """Pool-side tiered selection guard for ``predict-batch --tiered``.
-
-    ((format, tier, centroid), None) on success, (None, why) on any
-    failure.  Module-level for the same pickling reason as
-    :func:`_extract_task`; the calibrated selector rides along via
-    ``functools.partial``.
-    """
-    try:
-        decision = tiered.select_stream(path)
-        return (decision.format, decision.tier, decision.centroid), None
-    except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-
-
 def _resolve_batch_inputs(source: str) -> list[tuple[str, str]] | None:
     """(name, path) pairs from a directory, one ``.mtx``, or a manifest."""
     from pathlib import Path
@@ -330,8 +297,6 @@ def _cmd_predict_batch(args: argparse.Namespace) -> int:
               f"degrading to {selector.fallback_format}", file=sys.stderr)
         if args.strict:
             return 1
-    if args.tiered and not selector.degraded:
-        return _predict_batch_tiered(args, selector, entries)
     names = [name for name, _ in entries]
     extracted = parallel_map(
         _extract_task,
@@ -393,74 +358,6 @@ def _cmd_predict_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predict_batch_tiered(
-    args: argparse.Namespace, selector, entries: list[tuple[str, str]]
-) -> int:
-    """Cheap-first batch path (``--tiered``): one streamed pass per matrix.
-
-    Each worker runs the tiered selector directly on the file — tier-1
-    answers never materialize the matrix or the full feature vector —
-    so there is no separate extract/inference fan-out to share, and the
-    records gain a ``tier`` field.
-    """
-    import functools
-    import json
-
-    from repro.core.tiered import TieredSelector
-    from repro.runtime.parallel import parallel_map
-
-    if args.tier_margin is not None:
-        tiered = TieredSelector(selector.selector, args.tier_margin)
-    else:
-        tiered = TieredSelector.calibrate(selector.selector)
-    names = [name for name, _ in entries]
-    results = parallel_map(
-        functools.partial(_tiered_task, tiered=tiered),
-        [path for _, path in entries],
-        jobs=args.jobs,
-        label="inference.tiered",
-    )
-    records: list[dict] = []
-    n_fallback = 0
-    n_tier1 = 0
-    for name, (result, err) in zip(names, results):
-        if err is not None:
-            n_fallback += 1
-            records.append({
-                "name": name,
-                "format": selector.fallback_format,
-                "source": "fallback",
-                "error": err,
-            })
-            continue
-        fmt, tier, centroid = result
-        n_tier1 += tier == 1
-        records.append({
-            "name": name,
-            "format": fmt,
-            "source": "model",
-            "tier": tier,
-            "centroid": centroid,
-        })
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for record in records:
-            print(json.dumps(record), file=out)
-    finally:
-        if args.out:
-            out.close()
-    n_model = len(records) - n_fallback
-    print(
-        f"predict-batch: {len(entries)} matrices, "
-        f"{n_model} model answers, {n_fallback} fallbacks "
-        f"(tiered: {n_tier1} tier-1, {n_model - n_tier1} escalated)",
-        file=sys.stderr,
-    )
-    if args.strict and n_fallback:
-        return 1
-    return 0
-
-
 def _serving_config(args: argparse.Namespace, model_path: str):
     from repro.serving import GatewayLimits, ServingConfig
 
@@ -482,8 +379,6 @@ def _serving_config(args: argparse.Namespace, model_path: str):
         hot_reload=not args.no_reload,
         max_batch=args.max_batch,
         max_batch_delay_seconds=args.max_batch_delay_ms / 1000.0,
-        tiered=args.tiered,
-        tier_margin=args.tier_margin,
     )
 
 
@@ -494,7 +389,7 @@ def _worker_serve_flags(args: argparse.Namespace) -> list[str]:
     watch is one ``stat`` of the store's CURRENT pointer, and the
     front-end gates whether new versions are ever published at all.
     """
-    flags = [
+    return [
         "--fallback-format", args.fallback_format,
         "--queue-size", str(args.queue_size),
         "--deadline", str(args.deadline),
@@ -509,11 +404,6 @@ def _worker_serve_flags(args: argparse.Namespace) -> list[str]:
         "--max-batch", str(args.max_batch),
         "--max-batch-delay-ms", str(args.max_batch_delay_ms),
     ]
-    if args.tiered:
-        flags.append("--tiered")
-    if args.tier_margin is not None:
-        flags += ["--tier-margin", str(args.tier_margin)]
-    return flags
 
 
 def _tier_config(
@@ -1202,9 +1092,6 @@ def _cmd_obs_bench(args: argparse.Namespace) -> int:
 
     from repro.obs.bench import run_bench, write_bench
 
-    if args.select:
-        return _cmd_obs_bench_select(args)
-
     out = args.out or "BENCH_obs.json"
 
     def _run(model_path: str) -> int:
@@ -1245,39 +1132,6 @@ def _cmd_obs_bench(args: argparse.Namespace) -> int:
         model_path = os.path.join(tmp, "selector.npz")
         synthetic_frozen_selector(seed=args.seed).save(model_path)
         return _run(model_path)
-
-
-def _cmd_obs_bench_select(args: argparse.Namespace) -> int:
-    from repro.obs.bench import run_select_bench, write_bench
-
-    out = args.out or "BENCH_select.json"
-    result = run_select_bench(
-        args.model,
-        n_matrices=args.matrices,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    write_bench(result, out)
-    tier1, full, tiered = result["tier1"], result["full"], result["tiered"]
-    print(
-        f"tier1 : p50 {tier1['p50_ms']:.3f} ms  "
-        f"p95 {tier1['p95_ms']:.3f} ms  p99 {tier1['p99_ms']:.3f} ms"
-    )
-    print(
-        f"full  : p50 {full['p50_ms']:.3f} ms  "
-        f"p95 {full['p95_ms']:.3f} ms  p99 {full['p99_ms']:.3f} ms"
-    )
-    print(
-        f"tiered: p50 {tiered['p50_ms']:.3f} ms  "
-        f"p99 {tiered['p99_ms']:.3f} ms  "
-        f"{tiered['matrices_per_second']:.0f} matrices/s  "
-        f"escalation rate {tiered['escalation_rate']:.3f}"
-    )
-    print(f"bench : written to {out}")
-    if args.slo:
-        slo_args = argparse.Namespace(slo=args.slo, metrics=out)
-        return _cmd_obs_report(slo_args)
-    return 0
 
 
 #: Sentinel for ``--profile`` given without a PATH operand.
@@ -1383,14 +1237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 1 instead of degrading when the model is "
                         "unusable")
-    p.add_argument("--tiered", action="store_true",
-                   help="cheap-first tiered selection: answer from row-"
-                        "length statistics when the calibrated confidence "
-                        "margin allows, escalate to the full 21-feature "
-                        "pipeline otherwise")
-    p.add_argument("--tier-margin", type=float, default=None, metavar="M",
-                   help="tier-1 confidence margin override (default: "
-                        "calibrated from the frozen model)")
     p.add_argument("--max-dim", type=int, default=50_000_000, metavar="N",
                    help="reject matrices declaring more rows or columns "
                         "than this at the size line, before any entry is "
@@ -1422,13 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 1 if the model is unusable or any matrix "
                         "fell back")
-    p.add_argument("--tiered", action="store_true",
-                   help="cheap-first tiered selection per matrix (records "
-                        "gain a 'tier' field; tier-1 answers never build "
-                        "the full feature vector)")
-    p.add_argument("--tier-margin", type=float, default=None, metavar="M",
-                   help="tier-1 confidence margin override (default: "
-                        "calibrated from the frozen model)")
     p.set_defaults(func=_cmd_predict_batch)
 
     def add_serving_args(parser, **overrides):
@@ -1501,17 +1340,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-batch-delay-ms", type=float, default=0.0, metavar="MS",
             help="linger this long for more input before processing a "
                  "short micro-batch (0 = never wait)")
-        parser.add_argument(
-            "--tiered", action="store_true",
-            help="cheap-first tiered selection: answer predict requests "
-                 "from row-length statistics when the calibrated "
-                 "confidence margin allows, escalate to the full "
-                 "21-feature pipeline otherwise (responses gain a "
-                 "'tier' field)")
-        parser.add_argument(
-            "--tier-margin", type=float, default=None, metavar="M",
-            help="tier-1 confidence margin override (default: calibrated "
-                 "from the frozen model)")
 
     p = sub.add_parser("serve", parents=[profile_parent],
                        help="run the resilient selector service "
@@ -1687,18 +1515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = obs_sub.add_parser(
         "bench",
         help="seeded serving+batch latency benchmark; writes "
-             "BENCH_obs.json (p50/p95/p99, RPS, per-stage span costs). "
-             "--select benchmarks tiered selection instead and writes "
-             "BENCH_select.json (per-tier quantiles, escalation rate)")
+             "BENCH_obs.json (p50/p95/p99, RPS, per-stage span costs)")
     p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="output JSON path (default: BENCH_obs.json, "
-                              "or BENCH_select.json with --select)")
-    p_bench.add_argument("--select", action="store_true",
-                         help="benchmark tiered selection latency (tier-1 "
-                              "vs full pipeline vs calibrated tiered "
-                              "end-to-end) instead of the serving stack")
-    p_bench.add_argument("--matrices", type=int, default=64, metavar="N",
-                         help="seeded matrices per repeat (--select only)")
+                         help="output JSON path (default: BENCH_obs.json)")
     p_bench.add_argument("--model", default=None, metavar="PATH",
                          help="frozen selector .npz (default: a synthetic "
                               "model)")

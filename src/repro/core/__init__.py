@@ -24,7 +24,6 @@ from repro.core.pipeline import FeaturePipeline
 from repro.core.semisupervised import ClusterFormatSelector
 from repro.core.supervised import SUPERVISED_MODELS, SupervisedFormatSelector
 from repro.core.purity import cluster_purity, purity_report
-from repro.core.tiered import TierDecision, TieredSelector
 
 __all__ = [
     "ClusterFormatSelector",
@@ -32,8 +31,6 @@ __all__ = [
     "LabeledDataset",
     "SUPERVISED_MODELS",
     "SupervisedFormatSelector",
-    "TierDecision",
-    "TieredSelector",
     "build_labeled_dataset",
     "cluster_purity",
     "purity_report",

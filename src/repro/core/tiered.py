@@ -1,15 +1,20 @@
-"""Tiered low-latency format selection (ROADMAP item 4).
+"""Cheap-first tiered format selection, kept as a benchmark comparison.
+
+No request path uses this module: ``repro predict``, ``predict-batch``,
+``serve`` and the tier all run the full 21-feature pipeline.  It remains
+only so the ``select`` benchmark can report ``core.tiered.p50_ms`` and
+``core.tiered.escalation_rate`` beside the full pipeline's latency.
 
 Table 8 of the paper shows feature extraction — not model inference —
-dominates online selection cost.  The :class:`TieredSelector` exploits
-that: stage 1 classifies with only the *cheap* feature subset
+dominates online selection cost.  The :class:`TieredSelector` tries to
+exploit that: stage 1 classifies with only the *cheap* feature subset
 (:data:`~repro.features.extract.CHEAP_FEATURE_NAMES` — dimensions, nnz,
 and row-length moments, all derivable from the row-length histogram
 alone, with no diagonal / warp / HYB analysis), and escalates to the
 full 21-feature pipeline only when the cheap-space nearest-centroid
 answer is ambiguous.
 
-Determinism contract (DESIGN §13):
+Determinism contract:
 
 - Stage 1 answers only when its *margin* — the cheap-space distance gap
   between the nearest centroid and the nearest centroid carrying a
@@ -20,8 +25,7 @@ Determinism contract (DESIGN §13):
 - Whenever stage 1 abstains, the tier-2 answer runs the frozen model's
   own ``assign`` on the full Table-1 vector: tiered output is
   bit-identical to the full pipeline's output on every escalated
-  request, and the streaming tier-2 path feeds the exact canonical
-  coordinate set (streaming features ≡ ``compute_stats``).
+  request.
 
 Stage-1 geometry: the frozen centroids live in the post-PCA space, so
 they are mapped back to the scaled feature space (the orthogonal
@@ -37,8 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -48,15 +50,8 @@ from repro.features.extract import (
     cheap_features_from_lengths,
     features_from_stats,
 )
-from repro.features.stats import StreamingStats, compute_stats
+from repro.features.stats import compute_stats
 from repro.formats.coo import COOMatrix
-from repro.formats.io import (
-    DEFAULT_CHUNK_NNZ,
-    DEFAULT_POLICY,
-    ReadPolicy,
-    assemble_matrix,
-    read_matrix_market_streaming,
-)
 from repro.ml.knn import pairwise_sq_dists
 from repro.obs import TELEMETRY
 
@@ -217,11 +212,6 @@ class TieredSelector:
         d_other = np.sqrt(np.maximum(d2_other.min(axis=1), 0.0))
         return labels, best, d_other - d_best
 
-    def stage1_decision(self, cheap_vec: np.ndarray) -> TierDecision | None:
-        """Tier-1 decision for one raw cheap vector; None = escalate."""
-        decision, _ = self.stage1_with_margin(cheap_vec)
-        return decision
-
     def stage1_with_margin(
         self, cheap_vec: np.ndarray
     ) -> tuple[TierDecision | None, float]:
@@ -244,32 +234,6 @@ class TieredSelector:
     def escalation_rate(self) -> float:
         return self.escalations / self.requests if self.requests else 0.0
 
-    def account(self, decision: TierDecision) -> TierDecision:
-        """Record a decision in the selector's counters and telemetry.
-
-        ``select``/``select_stream`` call this themselves; external
-        drivers that run the stages manually (the serving layer) call it
-        once per successfully answered request.
-        """
-        self.requests += 1
-        if decision.tier == 2:
-            self.escalations += 1
-            TELEMETRY.inc("select.escalations")
-        else:
-            TELEMETRY.inc("select.tier1_answers")
-        TELEMETRY.inc("select.requests")
-        TELEMETRY.gauge_set("select.escalation_rate", self.escalation_rate)
-        return decision
-
-    def _escalate_features(self, vec: np.ndarray, margin: float) -> TierDecision:
-        centroid = int(self.frozen.assign(vec[None, :])[0])
-        return TierDecision(
-            format=str(self.frozen.centroid_labels[centroid]),
-            tier=2,
-            margin=margin,
-            centroid=centroid,
-        )
-
     def select(self, matrix: COOMatrix) -> TierDecision:
         """Tiered selection for an in-memory canonical COO matrix."""
         with TELEMETRY.span("select.tier1"):
@@ -278,94 +242,21 @@ class TieredSelector:
                 nrows, ncols, matrix.nnz, matrix.row_lengths()
             )
             decision, margin = self.stage1_with_margin(cheap)
-        if decision is not None:
-            return self.account(decision)
-        with TELEMETRY.span("select.escalate"):
-            decision = self._escalate_features(
-                features_from_stats(compute_stats(matrix)), margin
-            )
-        return self.account(decision)
-
-    def select_stream(
-        self,
-        source: str | Path | TextIO,
-        policy: ReadPolicy = DEFAULT_POLICY,
-        chunk_nnz: int = DEFAULT_CHUNK_NNZ,
-    ) -> TierDecision:
-        """Tiered selection straight from a MatrixMarket stream.
-
-        Tier 1 needs only the row-length histogram, accumulated while
-        parsing.  8-byte row-major coordinate keys are retained per
-        chunk so an escalation replays the (deduplicated) coordinate
-        set into the full :class:`StreamingStats` kernel — the file is
-        read exactly once either way, and the escalated answer is
-        bit-identical to the full pipeline's.
-        """
-        with TELEMETRY.span("select.tier1"):
-            stream = read_matrix_market_streaming(source, policy, chunk_nnz)
-            header = next(stream)
-            nrows, ncols = header.nrows, header.ncols
-            matrix = None
-            margin = float("nan")
-            if nrows * ncols > np.iinfo(np.int64).max:
-                # Keys would overflow: materialize (forged-header scale
-                # only; a sane ReadPolicy rejects at the size line).
-                chunks = ([], [], [])
-                for block in stream:
-                    for store, arr in zip(chunks, block):
-                        store.append(arr)
-                matrix = assemble_matrix(header, *chunks)
-                decision = None
-            else:
-                mirror = header.symmetry in ("symmetric", "skew-symmetric")
-                row_counts = np.zeros(nrows, dtype=np.int64)
-                nnz = 0
-                key_chunks: list[np.ndarray] = []
-                for block in stream:
-                    row_counts += np.bincount(block.rows, minlength=nrows)
-                    nnz += block.rows.shape[0]
-                    key_chunks.append(block.rows * ncols + block.cols)
-                    if mirror:
-                        off = block.rows != block.cols
-                        m_rows, m_cols = block.cols[off], block.rows[off]
-                        row_counts += np.bincount(m_rows, minlength=nrows)
-                        nnz += m_rows.shape[0]
-                        key_chunks.append(m_rows * ncols + m_cols)
-                keys = (
-                    np.concatenate(key_chunks)
-                    if len(key_chunks) != 1
-                    else key_chunks[0]
+        self.requests += 1
+        if decision is None:
+            with TELEMETRY.span("select.escalate"):
+                vec = features_from_stats(compute_stats(matrix))
+                centroid = int(self.frozen.assign(vec[None, :])[0])
+                decision = TierDecision(
+                    format=str(self.frozen.centroid_labels[centroid]),
+                    tier=2,
+                    margin=margin,
+                    centroid=centroid,
                 )
-                keys.sort()
-                if keys.size and (keys[1:] == keys[:-1]).any():
-                    # Canonicalisation collapses duplicates: recount the
-                    # histogram from the deduplicated key set.
-                    mask = np.empty(keys.shape[0], dtype=bool)
-                    mask[0] = True
-                    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
-                    keys = keys[mask]
-                    row_counts = np.bincount(
-                        keys // ncols, minlength=nrows
-                    )
-                    nnz = int(keys.shape[0])
-                cheap = cheap_features_from_lengths(
-                    nrows, ncols, nnz, row_counts
-                )
-                decision, margin = self.stage1_with_margin(cheap)
-        if decision is not None:
-            return self.account(decision)
-        with TELEMETRY.span("select.escalate"):
-            if matrix is not None:
-                stats = compute_stats(matrix)
-                margin = float("nan")
-            else:
-                acc = StreamingStats(nrows, ncols)
-                for lo in range(0, keys.shape[0], chunk_nnz):
-                    k = keys[lo : lo + chunk_nnz]
-                    r = k // ncols
-                    acc.update(r, k - r * ncols)
-                stats = acc.finalize()
-            decision = self._escalate_features(
-                features_from_stats(stats), margin
-            )
-        return self.account(decision)
+            self.escalations += 1
+            TELEMETRY.inc("select.escalations")
+        else:
+            TELEMETRY.inc("select.tier1_answers")
+        TELEMETRY.inc("select.requests")
+        TELEMETRY.gauge_set("select.escalation_rate", self.escalation_rate)
+        return decision

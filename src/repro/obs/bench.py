@@ -136,158 +136,6 @@ def bench_batch(
     }
 
 
-def _bench_matrices(n_matrices: int, seed: int) -> list:
-    """Seeded in-memory COO matrices for the selection benchmark.
-
-    A half-and-half mix of drill-sized tiny matrices (which the
-    calibrated tier-1 stage answers a fair share of) and medium ones up
-    to a few thousand nonzeros (where the feature math the tiers differ
-    on dominates Python call overhead), so the tiered phase exercises
-    both an interior escalation rate and a realistic latency spread.
-    """
-    from repro.formats.coo import COOMatrix
-
-    rng = np.random.default_rng(seed)
-    matrices = []
-    for i in range(n_matrices):
-        if i % 2 == 0:
-            nrows = int(rng.integers(4, 24))
-            ncols = int(rng.integers(4, 24))
-            nnz = int(rng.integers(1, max(2, nrows * ncols // 6)))
-        else:
-            nrows = int(rng.integers(64, 257))
-            ncols = int(rng.integers(64, 257))
-            nnz = int(rng.integers(nrows, min(nrows * ncols // 4, 4096) + 1))
-        flat = rng.choice(nrows * ncols, size=nnz, replace=False)
-        rows, cols = np.divmod(flat, ncols)
-        vals = rng.uniform(0.5, 2.0, size=nnz)
-        matrices.append(COOMatrix((nrows, ncols), rows, cols, vals))
-    return matrices
-
-
-def bench_selection(
-    model_path: str | None = None,
-    n_matrices: int = 64,
-    seed: int = 0,
-    repeats: int = 3,
-) -> dict:
-    """Tier-1 vs full-pipeline vs tiered end-to-end selection latency.
-
-    Three timed paths over the same seeded matrices:
-
-    - **tier1** — row-length statistics, the 7 cheap features, and the
-      stage-1 nearest-centroid margin test (forced: the decision is
-      timed whether or not the margin would have answered).
-    - **full** — the complete 21-feature pipeline plus a frozen-model
-      assignment, i.e. what every non-tiered prediction pays.
-    - **tiered** — :meth:`TieredSelector.select` with its calibrated
-      margin, so the sample mixes tier-1 answers and escalations in the
-      proportion the calibration produces; the escalation rate is part
-      of the result row.
-
-    Sets ``select.bench.tier1_p50_ms`` / ``select.bench.full_p50_ms``
-    gauges so an SLO ratio rule can assert the tiering speedup from the
-    emitted snapshot.  Returns the ``BENCH_select.json`` payload.
-    """
-    from repro.core.deploy import FrozenSelector
-    from repro.core.tiered import TieredSelector
-    from repro.features.extract import (
-        cheap_features_from_lengths,
-        features_from_stats,
-    )
-    from repro.features.stats import compute_stats
-
-    if model_path is not None:
-        frozen = FrozenSelector.load(model_path)
-    else:
-        from repro.serving.drill import synthetic_frozen_selector
-
-        frozen = synthetic_frozen_selector(seed=seed)
-    tiered = TieredSelector.calibrate(frozen)
-    matrices = _bench_matrices(n_matrices, seed)
-
-    tier1_lat: list[float] = []
-    full_lat: list[float] = []
-    tiered_lat: list[float] = []
-    for _ in range(repeats):
-        for m in matrices:
-            t0 = time.perf_counter()
-            nrows, ncols = m.shape
-            cheap = cheap_features_from_lengths(
-                nrows, ncols, m.nnz, m.row_lengths()
-            )
-            tiered.stage1_with_margin(cheap)
-            tier1_lat.append(time.perf_counter() - t0)
-        for m in matrices:
-            t0 = time.perf_counter()
-            vec = features_from_stats(compute_stats(m))
-            frozen.assign(vec[None, :])
-            full_lat.append(time.perf_counter() - t0)
-        started = time.perf_counter()
-        for m in matrices:
-            t0 = time.perf_counter()
-            tiered.select(m)
-            tiered_lat.append(time.perf_counter() - t0)
-        tiered_wall = time.perf_counter() - started
-
-    tier1_row = _quantiles_ms(tier1_lat)
-    full_row = _quantiles_ms(full_lat)
-    tiered_row = {
-        **_quantiles_ms(tiered_lat),
-        "matrices_per_second": (
-            round(n_matrices / tiered_wall, 3) if tiered_wall > 0 else None
-        ),
-        "escalation_rate": round(tiered.escalation_rate, 6),
-        "n_tier1": tiered.requests - tiered.escalations,
-        "n_escalated": tiered.escalations,
-    }
-    TELEMETRY.gauge_set("select.bench.tier1_p50_ms", tier1_row["p50_ms"])
-    TELEMETRY.gauge_set("select.bench.full_p50_ms", full_row["p50_ms"])
-    TELEMETRY.gauge_set(
-        "select.bench.tiered_p50_ms", tiered_row["p50_ms"]
-    )
-    return {
-        "bench": "selection_latency",
-        "seed": seed,
-        "n_matrices": n_matrices,
-        "repeats": repeats,
-        "tier1": tier1_row,
-        "full": full_row,
-        "tiered": tiered_row,
-    }
-
-
-def run_select_bench(
-    model_path: str | None = None,
-    n_matrices: int = 64,
-    seed: int = 0,
-    repeats: int = 3,
-) -> dict:
-    """Selection benchmark with telemetry capture; BENCH_select payload.
-
-    Same envelope discipline as :func:`run_bench`: telemetry is switched
-    on for the measurement (prior state restored), and the payload
-    carries the span cost table and the metrics snapshot — including the
-    ``select.*`` counters and the ``select.bench.*`` gauges the
-    ``select-smoke`` SLO file evaluates.
-    """
-    was_enabled = TELEMETRY.enabled
-    TELEMETRY.reset()
-    TELEMETRY.enable()
-    try:
-        result = bench_selection(
-            model_path, n_matrices=n_matrices, seed=seed, repeats=repeats
-        )
-        stages = _stage_costs()
-        metrics = TELEMETRY.registry.snapshot()
-    finally:
-        if not was_enabled:
-            TELEMETRY.disable()
-    result["stages"] = stages
-    result["metrics"] = metrics
-    return result
-
-
 def run_bench(
     model_path: str,
     n_requests: int = 200,
@@ -335,9 +183,7 @@ def write_bench(result: dict, path: str) -> None:
 
 __all__ = [
     "bench_batch",
-    "bench_selection",
     "bench_serve",
     "run_bench",
-    "run_select_bench",
     "write_bench",
 ]

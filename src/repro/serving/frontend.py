@@ -86,6 +86,7 @@ from repro.serving.protocol import (
     ok_response,
     overloaded_response,
     parse_request_line,
+    too_large_response,
 )
 from repro.serving.reload import RELOAD_SWAPPED, ModelHost
 from repro.serving.routing import HashRing
@@ -96,6 +97,43 @@ TIER_OPS = ("health", "healthz", "metrics", "reload", "shutdown")
 
 class TierError(RuntimeError):
     """The tier could not be brought up (worker boot failure)."""
+
+
+class LineTooLong(ValueError):
+    """A line over the stream limit, already discarded through its newline."""
+
+    def __init__(self, n_bytes: int) -> None:
+        super().__init__(f"line of {n_bytes} bytes exceeds the stream limit")
+        self.n_bytes = n_bytes
+
+
+async def read_line(reader: asyncio.StreamReader) -> bytes:
+    """``reader.readline()`` that survives a line over the stream limit.
+
+    asyncio's ``readline`` raises ``ValueError`` on such a line and may
+    leave its tail in the buffer, to be read as the next line.  Here the
+    whole line is discarded through its newline (or EOF) and
+    :class:`LineTooLong` reports its length, so the conversation goes on
+    with the next line.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF: the last, unterminated line (or b"")
+    except asyncio.LimitOverrunError as exc:
+        skip = exc.consumed
+    n_bytes = 0
+    try:
+        while True:
+            n_bytes += len(await reader.readexactly(skip))
+            try:
+                n_bytes += len(await reader.readuntil(b"\n"))
+                break
+            except asyncio.LimitOverrunError as exc:
+                skip = exc.consumed
+    except asyncio.IncompleteReadError as exc:
+        n_bytes += len(exc.partial)
+    raise LineTooLong(n_bytes)
 
 
 @dataclass(frozen=True)
@@ -111,8 +149,8 @@ class TierConfig:
     workers_min: int | None = None
     workers_max: int | None = None
     #: Extra ``repro serve`` CLI flags forwarded verbatim to each worker
-    #: (queue size, breaker knobs, tiering, ... — the worker is the
-    #: unchanged single-process server).
+    #: (queue size, breaker knobs, ... — the worker is the unchanged
+    #: single-process server).
     worker_args: tuple[str, ...] = ()
     fallback_format: str = "csr"
     max_request_bytes: int = 16 * 1024 * 1024
@@ -247,6 +285,9 @@ class ServingTier:
         self.access_log = access_log
         os.makedirs(config.run_dir, exist_ok=True)
         self.store = ModelStore(os.path.join(config.run_dir, "store"))
+        # Line limit of every asyncio stream the front-end reads: any
+        # line under the request cap fits (asyncio's default is 64 KiB).
+        self._stream_limit = max(1, config.max_request_bytes)
         # The tier's single shadow validator: only what this host swaps
         # in is ever published to the store the workers attach to.
         self.host = ModelHost(config.model_path)
@@ -346,7 +387,7 @@ class ServingTier:
         while True:
             try:
                 reader, writer = await asyncio.open_unix_connection(
-                    socket_path
+                    socket_path, limit=self._stream_limit
                 )
                 break
             except (OSError, ValueError):
@@ -1245,19 +1286,35 @@ class ServingTier:
                 pass
         self._stop_event.set()
 
+    async def _next_response(self, reader, conn_key: str) -> dict | None:
+        """Read and answer the next request line; ``None`` at EOF.
+
+        A line over the stream limit is answered ``payload_too_large``
+        like any other over-cap line, and the connection stays open.
+        """
+        while True:
+            try:
+                line = await read_line(reader)
+            except LineTooLong as exc:
+                response = too_large_response(
+                    exc.n_bytes, self.config.max_request_bytes
+                )
+                return self._log_access(response, "invalid", time.monotonic())
+            if not line:
+                return None
+            text = line.decode("utf-8", "replace")
+            if text.strip():
+                return await self.dispatch(text, conn_key)
+
     async def _serve_client(self, reader, writer) -> None:
         """One JSONL conversation; responses in request order."""
         self._conn_counter += 1
         conn_key = f"conn:{self._conn_counter}"
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                response = await self._next_response(reader, conn_key)
+                if response is None:
                     break
-                text = line.decode("utf-8", "replace")
-                if not text.strip():
-                    continue
-                response = await self.dispatch(text, conn_key)
                 writer.write((encode_response(response) + "\n").encode())
                 await writer.drain()
                 if self._stopping:
@@ -1295,7 +1352,9 @@ class ServingTier:
         await self.start()
         sigterm = self._install_sigterm()
         server = await asyncio.start_unix_server(
-            self._serve_client, path=socket_path
+            self._serve_client,
+            path=socket_path,
+            limit=self._stream_limit,
         )
         try:
             async with server:
@@ -1312,7 +1371,7 @@ class ServingTier:
         await self.start()
         sigterm = self._install_sigterm()
         loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=self._stream_limit)
         protocol = asyncio.StreamReaderProtocol(reader)
         await loop.connect_read_pipe(
             lambda: protocol, instream if instream is not None else sys.stdin
@@ -1320,13 +1379,9 @@ class ServingTier:
         out = outstream if outstream is not None else sys.stdout
         try:
             while not self._stopping:
-                line = await reader.readline()
-                if not line:
+                response = await self._next_response(reader, "stdio")
+                if response is None:
                     break
-                text = line.decode("utf-8", "replace")
-                if not text.strip():
-                    continue
-                response = await self.dispatch(text, "stdio")
                 out.write(encode_response(response) + "\n")
                 out.flush()
         finally:
@@ -1385,10 +1440,12 @@ async def drive_tier(
 
 
 __all__ = [
+    "LineTooLong",
     "ServingTier",
     "TIER_OPS",
     "TierConfig",
     "TierError",
     "WorkerHandle",
     "drive_tier",
+    "read_line",
 ]

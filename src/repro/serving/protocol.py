@@ -159,6 +159,14 @@ def ok_response(request_id: str | None = None, **fields) -> dict:
     return resp
 
 
+def too_large_response(n_bytes: int, max_bytes: int) -> dict:
+    """The ``invalid`` answer to a request line over the byte cap."""
+    return invalid_response(
+        CODE_PAYLOAD_TOO_LARGE,
+        f"request line of {n_bytes} bytes exceeds the {max_bytes}-byte limit",
+    )
+
+
 def parse_request_line(line: str, max_bytes: int | None = None) -> Request:
     """Parse one JSONL request line into a :class:`Request`.
 
@@ -167,13 +175,7 @@ def parse_request_line(line: str, max_bytes: int | None = None) -> Request:
     escalate beyond that.
     """
     if max_bytes is not None and len(line) > max_bytes:
-        raise RequestParseError(
-            invalid_response(
-                CODE_PAYLOAD_TOO_LARGE,
-                f"request line of {len(line)} bytes exceeds the "
-                f"{max_bytes}-byte limit",
-            )
-        )
+        raise RequestParseError(too_large_response(len(line), max_bytes))
     try:
         obj = json.loads(line)
     except (ValueError, TypeError) as exc:

@@ -100,15 +100,6 @@ class ServingConfig:
     #: How long ``serve_stream`` lingers for more input before
     #: processing a short batch (seconds); 0 keeps reads non-blocking.
     max_batch_delay_seconds: float = 0.0
-    #: Answer predict requests from the tiered cheap-first path: tier 1
-    #: classifies on the row-length moments alone and escalates to the
-    #: full 21-feature pipeline when its calibrated margin does not
-    #: clear the bar (DESIGN §13).  Responses gain a ``tier`` field;
-    #: with the default ``False`` nothing changes.
-    tiered: bool = False
-    #: Stage-1 margin threshold; ``None`` calibrates one per model from
-    #: seeded probes at first use (and again after each hot reload).
-    tier_margin: float | None = None
 
 
 class SelectorServer:
@@ -162,9 +153,6 @@ class SelectorServer:
         self._batch_model = None
         self._batch_ingest: dict[int, np.ndarray] = {}
         self._batch_results: dict[int, tuple[float, object, int]] = {}
-        # Tiered selector cache, keyed on the frozen-model object so a
-        # hot reload recalibrates: (selector, TieredSelector).
-        self._tiered_cache: tuple[object, object] | None = None
 
     # -- request processing -------------------------------------------------
 
@@ -285,8 +273,6 @@ class SelectorServer:
         return self.host.active
 
     def _op_predict(self, request: Request) -> dict:
-        if self.config.tiered:
-            return self._op_predict_tiered(request)
         try:
             with TELEMETRY.span("serving.gateway"):
                 vec = self._ingest_cached(request)
@@ -385,146 +371,6 @@ class SelectorServer:
         if not np.isfinite(distance):
             raise InferenceFault("inference produced non-finite distance")
         return distance, str(label), centroid
-
-    # -- tiered predict path -------------------------------------------
-
-    def _tiered_for(self, selector):
-        """The (cached) tiered selector for the active frozen model."""
-        cached = self._tiered_cache
-        if cached is not None and cached[0] is selector:
-            return cached[1]
-        from repro.core.tiered import TieredSelector
-
-        if self.config.tier_margin is not None:
-            tiered = TieredSelector(selector, self.config.tier_margin)
-        else:
-            tiered = TieredSelector.calibrate(selector)
-        self._tiered_cache = (selector, tiered)
-        return tiered
-
-    def _op_predict_tiered(self, request: Request) -> dict:
-        """Predict via the cheap-first tiered path (``--tiered``).
-
-        Same defensive frame as :meth:`_op_predict` — gateway parse,
-        model/breaker gates, injected-fault and label validation, OOD
-        guard — but feature extraction is deferred: tier-1 answers need
-        only the row-length histogram, and only escalations pay for the
-        full certified 21-feature vector.  Tier-1 answers skip the OOD
-        distance guard (no full-space distance exists); the calibrated
-        margin is the confidence gate on that path.  Responses carry a
-        ``tier`` field; escalated answers are bit-identical to the
-        non-tiered path's.
-        """
-        try:
-            with TELEMETRY.span("serving.gateway"):
-                matrix = self.gateway.parse_matrix(request.body)
-        except IngestError as exc:
-            return invalid_response(exc.code, str(exc), request.id)
-        active = self._current_model()
-        if active.selector is None:
-            return fallback_response(
-                self.config.fallback_format,
-                REASON_MODEL_UNUSABLE,
-                request.id,
-                error=active.error,
-            )
-        with TELEMETRY.span("serving.breaker"):
-            allowed = self.breaker.allow()
-        if not allowed:
-            TELEMETRY.inc("serving.fallback.breaker_open")
-            return fallback_response(
-                self.config.fallback_format, REASON_BREAKER_OPEN, request.id
-            )
-        tiered = self._tiered_for(active.selector)
-        try:
-            with TELEMETRY.span("serving.predict", tiered=True):
-                decision, distance = self._infer_tiered(
-                    tiered, matrix, request.id or "anon"
-                )
-        except IngestError as exc:
-            # An escalation's feature extraction failed certification —
-            # the same gateway rejection as the non-tiered path.
-            return invalid_response(exc.code, str(exc), request.id)
-        except Exception:
-            self.breaker.record_failure()
-            TELEMETRY.inc("serving.fallback.inference_error")
-            return fallback_response(
-                self.config.fallback_format,
-                REASON_INFERENCE_ERROR,
-                request.id,
-            )
-        self.breaker.record_success()
-        if (
-            distance is not None
-            and self.config.ood_factor > 0
-            and np.isfinite(active.scale)
-            and distance > self.config.ood_factor * active.scale
-        ):
-            TELEMETRY.inc("serving.fallback.out_of_distribution")
-            return fallback_response(
-                self.config.fallback_format,
-                REASON_OUT_OF_DISTRIBUTION,
-                request.id,
-                distance=round(float(distance), 6),
-                threshold=round(
-                    float(self.config.ood_factor * active.scale), 6
-                ),
-            )
-        tiered.account(decision)
-        return ok_response(
-            request.id,
-            format=decision.format,
-            centroid=decision.centroid,
-            source="model",
-            tier=decision.tier,
-        )
-
-    def _infer_tiered(self, tiered, matrix, key: str):
-        """(decision, full-space distance or None) for one matrix.
-
-        Injection rolls and result validation mirror :meth:`_infer`;
-        the distance is only available (and only meaningful) on
-        escalations, which run the frozen model's own full pipeline.
-        """
-        from repro.core.tiered import TierDecision
-
-        injector = self.fault_injector
-        if injector is not None:
-            delay = injector.delay_for(key, attempt=0)
-            if delay > 0:
-                time.sleep(delay)
-            if injector.fails(key, attempt=0):
-                raise InferenceFault(f"injected inference failure for {key!r}")
-        with TELEMETRY.span("select.tier1"):
-            nrows, ncols = matrix.shape
-            from repro.features.extract import cheap_features_from_lengths
-
-            cheap = cheap_features_from_lengths(
-                nrows, ncols, matrix.nnz, matrix.row_lengths()
-            )
-            decision, margin = tiered.stage1_with_margin(cheap)
-        distance = None
-        if decision is None:
-            with TELEMETRY.span("select.escalate"):
-                vec = self.gateway.features(matrix)
-                selector = tiered.frozen
-                centroid = int(selector.assign(vec)[0])
-                label = selector.centroid_labels[centroid]
-                distance = float(selector.nearest_distance(vec)[0])
-                decision = TierDecision(
-                    format=str(label),
-                    tier=2,
-                    margin=margin,
-                    centroid=centroid,
-                )
-        label = decision.format
-        if injector is not None and injector.corrupts(key, attempt=0):
-            label = Corrupted(key, attempt=0)
-        if not isinstance(label, str) or not label:
-            raise InferenceFault(f"inference produced bad label {label!r}")
-        if distance is not None and not np.isfinite(distance):
-            raise InferenceFault("inference produced non-finite distance")
-        return decision, distance
 
     def _op_feedback(self, request: Request) -> dict:
         """Observed-best-format feedback feeds an online selector.
@@ -751,10 +597,6 @@ class SelectorServer:
         self._batch_model = None
         self._batch_ingest.clear()
         self._batch_results.clear()
-        if self.config.tiered:
-            # Priming full-ingests every request up front, which is
-            # exactly the cost the cheap-first tiered path avoids.
-            return
         if self.config.max_batch <= 1 or len(batch) <= 1:
             return
         keys: list[int] = []

@@ -1,6 +1,6 @@
 """TieredSelector: calibration, determinism, and escalation fidelity.
 
-The DESIGN §13 contract under test:
+The contract under test:
 
 - calibration is a pure function of the frozen model (same model in,
   same margin threshold out);
@@ -8,9 +8,7 @@ The DESIGN §13 contract under test:
   threshold, so raising the threshold can only move answers from tier 1
   to tier 2 — never change a tier-2 answer;
 - every escalation is bit-identical to the full 21-feature pipeline,
-  which means a forced-escalation selector *is* the full pipeline;
-- :meth:`select_stream` decides exactly like :meth:`select` on the
-  parsed matrix.
+  which means a forced-escalation selector *is* the full pipeline.
 """
 
 import numpy as np
@@ -19,7 +17,6 @@ import pytest
 from repro.core.tiered import TierDecision, TieredSelector
 from repro.features import extract_features
 from repro.features.extract import cheap_features_from_lengths
-from repro.formats import read_matrix_market, write_matrix_market
 from repro.serving.drill import synthetic_frozen_selector
 
 
@@ -123,15 +120,6 @@ def test_raising_threshold_only_moves_answers_to_tier2(frozen, tiered):
             assert strict.tier == 2
             assert strict.format == loose.format
             assert strict.centroid == loose.centroid
-
-
-def test_select_stream_matches_select(tiered, tmp_path):
-    for i, m in enumerate(_matrices(12, seed=29)):
-        path = tmp_path / f"m{i}.mtx"
-        write_matrix_market(m, path)
-        in_memory = tiered.select(read_matrix_market(str(path)))
-        streamed = tiered.select_stream(str(path))
-        assert streamed == in_memory
 
 
 def test_counters_and_escalation_rate(frozen):

@@ -10,6 +10,8 @@ Covers the tier contracts the single-process suite cannot:
   its in-flight requests (no hangs), a respawn, and counters that
   reconcile: ``routed == completed + worker_lost``.
 - ``metrics`` / ``healthz`` aggregate across workers.
+- A request line longer than asyncio's 64 KiB default stream limit
+  gets a typed answer, never a dropped connection.
 
 These tests boot real worker subprocesses, so they are the slowest in
 the serving suite; request counts are kept small.
@@ -24,18 +26,27 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.serving.drill import (
     _random_matrix_text,
     build_request_lines,
     tier_expectations,
 )
-from repro.serving.frontend import ServingTier, TierConfig, drive_tier
+from repro.serving.frontend import (
+    LineTooLong,
+    ServingTier,
+    TierConfig,
+    drive_tier,
+    read_line,
+)
 from repro.serving.protocol import (
     CODE_WORKER_LOST,
     REASON_WORKER_LOST,
     STATUS_FALLBACK,
     STATUS_INVALID,
+    too_large_response,
 )
 from repro.serving.server import SelectorServer, ServingConfig
 
@@ -103,13 +114,16 @@ def test_workers_1_cli_is_byte_identical_to_library_server(
 # -- multi-worker tier scenarios ---------------------------------------------
 
 
-async def _boot_tier(run_dir: str, model_path: str, workers: int):
+async def _boot_tier(
+    run_dir: str, model_path: str, workers: int, **config
+):
     tier = ServingTier(
         TierConfig(
             model_path=model_path,
             run_dir=run_dir,
             workers=workers,
             boot_timeout_seconds=120.0,
+            **config,
         )
     )
     front = os.path.join(run_dir, "front.sock")
@@ -241,3 +255,85 @@ def test_tier_config_worker_bounds_default_to_workers():
         workers_min=1, workers_max=4,
     )
     assert scaled.min_workers == 1 and scaled.max_workers == 4
+
+
+# -- stream line limit -------------------------------------------------------
+
+
+def _lines(limit: int, chunks: list[bytes], reads: int) -> list:
+    """Results of ``reads`` calls to read_line over fed ``chunks``."""
+
+    async def scenario():
+        reader = asyncio.StreamReader(limit=limit)
+
+        async def feed():
+            for chunk in chunks:
+                await asyncio.sleep(0)
+                reader.feed_data(chunk)
+            reader.feed_eof()
+
+        feeder = asyncio.ensure_future(feed())
+        out = []
+        for _ in range(reads):
+            try:
+                out.append(await read_line(reader))
+            except LineTooLong as exc:
+                out.append(exc.n_bytes)
+        await feeder
+        return out
+
+    return asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        [b"short\n" + b"x" * 40 + b"\nnext\n"],
+        [b"short\n", b"x" * 30, b"x" * 10, b"\nne", b"xt\n"],
+    ],
+    ids=["whole", "trickled"],
+)
+def test_read_line_discards_an_over_limit_line_through_its_newline(chunks):
+    assert _lines(16, chunks, 4) == [b"short\n", 41, b"next\n", b""]
+
+
+def test_read_line_over_limit_line_at_eof():
+    assert _lines(16, [b"y" * 40], 2) == [40, b""]
+
+
+def test_tier_answers_lines_past_asyncios_default_limit(model_path, tmp_path):
+    """Over 64 KiB under the cap: answered; over the cap: typed refusal.
+
+    Either way the connection survives for the next request.
+    """
+    cap = 128 * 1024
+    big = json.dumps({"id": "big", "op": "health", "pad": "x" * 70_000})
+    huge = json.dumps({"id": "huge", "op": "health", "pad": "x" * 4 * cap})
+    follow_up = json.dumps({"id": "after", "op": "healthz"})
+
+    async def scenario():
+        tier, task, front = await _boot_tier(
+            str(tmp_path), model_path, 1, max_request_bytes=cap
+        )
+        reader, writer = await asyncio.open_unix_connection(front)
+        try:
+            answers = []
+            for line in (big, huge, follow_up):
+                writer.write((line + "\n").encode())
+                await writer.drain()
+                answers.append(json.loads(await reader.readline()))
+        finally:
+            writer.close()
+            (await _ops(front, "shutdown"))
+            await asyncio.wait_for(task, timeout=30.0)
+        return answers
+
+    big_answer, huge_answer, after = asyncio.run(scenario())
+    assert big_answer["id"] == "big" and big_answer["status"] == "ok"
+    assert huge_answer == too_large_response(len(huge) + 1, cap)
+    # The same bytes the single-process server gives for that line.
+    server = SelectorServer(
+        ServingConfig(model_path=model_path, max_request_bytes=cap)
+    )
+    assert server.handle_line(huge + "\n") == huge_answer
+    assert after["id"] == "after" and after["status"] == "ok"

@@ -288,109 +288,6 @@ class TestPredictDegradation:
         assert "recommended format:" in capsys.readouterr().out
 
 
-class TestTieredPredict:
-    @pytest.fixture(scope="class")
-    def model(self, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("tiered-model") / "selector.npz")
-        assert main([
-            "train", "--size", "30", "--clusters", "5", "--trials", "3",
-            "--out", path,
-        ]) == 0
-        return path
-
-    def test_tiered_predict_prints_tier(self, model, mtx_file, capsys):
-        assert main([
-            "predict", mtx_file, "--model", model, "--tiered",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "recommended format:" in out
-        assert "(tier " in out
-
-    def test_forced_escalation_matches_plain_predict(
-        self, model, mtx_file, capsys
-    ):
-        """An unreachable margin makes --tiered the full pipeline."""
-        assert main(["predict", mtx_file, "--model", model]) == 0
-        plain = capsys.readouterr().out
-        assert main([
-            "predict", mtx_file, "--model", model,
-            "--tiered", "--tier-margin", "1e18",
-        ]) == 0
-        tiered = capsys.readouterr().out
-        assert "(tier 2," in tiered
-        fmt = plain.split("recommended format:")[1].split()[0]
-        centroid = plain.split("centroid #")[1].split()[0]
-        assert f"recommended format: {fmt} " in tiered
-        assert f"centroid #{centroid} " in tiered
-
-    def test_degraded_model_ignores_tiered_flag(self, mtx_file, capsys):
-        assert main([
-            "predict", mtx_file, "--model", "nope.npz", "--tiered",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "degraded fallback" in out
-        assert "(tier " not in out
-
-    def test_tiered_batch_records_tiers_and_jobs_invariant(
-        self, model, tmp_path, capsys
-    ):
-        import json
-
-        from repro.datasets import build_collection, export_collection
-
-        directory = tmp_path / "coll"
-        records = build_collection(seed=7, size=6)
-        export_collection(
-            records.records if hasattr(records, "records") else records,
-            directory,
-        )
-        outputs = []
-        for i, extra in enumerate([[], ["--jobs", "2"]]):
-            out = tmp_path / f"tiered{i}.jsonl"
-            assert main([
-                "predict-batch", str(directory), "--model", model,
-                "--tiered", "--out", str(out), *extra,
-            ]) == 0
-            captured = capsys.readouterr()
-            assert "tiered:" in captured.err
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1], "output depends on --jobs"
-        records = [json.loads(line) for line in outputs[0].splitlines()]
-        assert all(r["tier"] in (1, 2) for r in records)
-        assert all(r["source"] == "model" for r in records)
-
-    def test_tiered_batch_quarantines_unreadable_matrix(
-        self, model, tmp_path, capsys
-    ):
-        import json
-
-        directory = tmp_path / "mixed"
-        directory.mkdir()
-        (directory / "bad.mtx").write_text("not MatrixMarket\n")
-        (directory / "ok.mtx").write_text(
-            "%%MatrixMarket matrix coordinate real general\n"
-            "3 3 2\n1 1 1.0\n2 3 2.0\n"
-        )
-        assert main([
-            "predict-batch", str(directory), "--model", model, "--tiered",
-        ]) == 0
-        captured = capsys.readouterr()
-        records = [
-            json.loads(line) for line in captured.out.strip().splitlines()
-        ]
-        by_name = {r["name"]: r for r in records}
-        assert by_name["bad"]["source"] == "fallback"
-        assert "error" in by_name["bad"]
-        assert by_name["ok"]["source"] == "model"
-        assert "1 fallbacks" in captured.err
-        # --strict turns the fallback into a failing exit code.
-        assert main([
-            "predict-batch", str(directory), "--model", model,
-            "--tiered", "--strict",
-        ]) == 1
-        capsys.readouterr()
-
-
 class TestChaosCommand:
     def test_chaos_completes_with_quarantine_and_verifies(self, capsys):
         rc = main([

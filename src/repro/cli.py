@@ -734,7 +734,8 @@ def _run_chaos_tier_drill(args: argparse.Namespace, spec) -> int:
             f"hedges={tier.n_hedges} hedge_wins={tier.n_hedge_wins} "
             f"primary_wins={tier.n_primary_wins} "
             f"deadline_exceeded={tier.n_deadline_exceeded} "
-            f"drain_rejected={tier.n_draining_rejected}"
+            f"drain_rejected={tier.n_draining_rejected} "
+            f"invalid={tier.n_invalid}"
         )
         rc = 0 if report.ok else 1
         for violation in audit_tier_conservation(tier):

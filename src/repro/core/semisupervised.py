@@ -31,6 +31,7 @@ from repro.ml.base import NotFittedError
 from repro.ml.cluster import Birch, KMeans, MeanShift
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegression
+from repro.obs import TELEMETRY
 
 LABELERS = ("vote", "lr", "rf")
 CLUSTERERS = ("kmeans", "meanshift", "birch")
@@ -102,42 +103,43 @@ class ClusterFormatSelector:
 
     def fit_clusters(self, X: np.ndarray) -> "ClusterFormatSelector":
         """Preprocess features and form clusters (no labels involved)."""
-        self.pipeline_ = (
-            self.pipeline if self.pipeline is not None else FeaturePipeline()
-        )
-        if not hasattr(self.pipeline_, "_scaler"):
-            self.pipeline_.fit(X)
-        Z = self.pipeline_.transform_features(X)
-        if isinstance(self.clusterer, str):
-            self._cluster_model = make_clusterer(
-                self.clusterer, self.n_clusters, self.seed
+        with TELEMETRY.span("ml.fit", model=self._clusterer_name()):
+            self.pipeline_ = (
+                self.pipeline if self.pipeline is not None else FeaturePipeline()
             )
-        else:
-            self._cluster_model = self.clusterer
-        self._cluster_model.fit(Z)
-        self.train_assignments_ = np.asarray(self._cluster_model.labels_)
-        # Cluster-id range must cover everything predict() can return —
-        # not just ids seen in training (K-Means may keep a centroid whose
-        # members were all reassigned in the final iteration).
-        model = self._cluster_model
-        if hasattr(model, "n_clusters_"):
-            self.n_clusters_ = int(model.n_clusters_)
-        elif hasattr(model, "cluster_centers_"):
-            self.n_clusters_ = int(model.cluster_centers_.shape[0])
-        else:
-            self.n_clusters_ = int(self.train_assignments_.max()) + 1
-        # Centroids in the transformed space (for the LR/RF labelers and
-        # for explainability).
-        self.centroids_ = np.vstack(
-            [
-                Z[self.train_assignments_ == c].mean(axis=0)
-                if np.any(self.train_assignments_ == c)
-                else np.zeros(Z.shape[1])
-                for c in range(self.n_clusters_)
-            ]
-        )
-        self._Z_train = Z
-        return self
+            if not hasattr(self.pipeline_, "_scaler"):
+                self.pipeline_.fit(X)
+            Z = self.pipeline_.transform_features(X)
+            if isinstance(self.clusterer, str):
+                self._cluster_model = make_clusterer(
+                    self.clusterer, self.n_clusters, self.seed
+                )
+            else:
+                self._cluster_model = self.clusterer
+            self._cluster_model.fit(Z)
+            self.train_assignments_ = np.asarray(self._cluster_model.labels_)
+            # Cluster-id range must cover everything predict() can return —
+            # not just ids seen in training (K-Means may keep a centroid whose
+            # members were all reassigned in the final iteration).
+            model = self._cluster_model
+            if hasattr(model, "n_clusters_"):
+                self.n_clusters_ = int(model.n_clusters_)
+            elif hasattr(model, "cluster_centers_"):
+                self.n_clusters_ = int(model.cluster_centers_.shape[0])
+            else:
+                self.n_clusters_ = int(self.train_assignments_.max()) + 1
+            # Centroids in the transformed space (for the LR/RF labelers and
+            # for explainability).
+            self.centroids_ = np.vstack(
+                [
+                    Z[self.train_assignments_ == c].mean(axis=0)
+                    if np.any(self.train_assignments_ == c)
+                    else np.zeros(Z.shape[1])
+                    for c in range(self.n_clusters_)
+                ]
+            )
+            self._Z_train = Z
+            return self
 
     # -- stage 2: platform-specific cluster labeling ------------------------
 
@@ -157,44 +159,45 @@ class ClusterFormatSelector:
         contributes its *source-architecture* label: the transfer case
         combines full source evidence with partial target evidence.
         """
-        self._require_clustered()
-        y = np.asarray(y, dtype=object)
-        if y.shape[0] != self.train_assignments_.shape[0]:
-            raise ValueError("y must align with the clustered training set")
-        mask = np.ones(y.shape[0], dtype=bool)
-        if benchmarked is not None:
-            benchmarked = np.asarray(benchmarked)
-            if benchmarked.dtype == bool:
-                mask = benchmarked.copy()
+        with TELEMETRY.span("ml.label", model=self.labeler):
+            self._require_clustered()
+            y = np.asarray(y, dtype=object)
+            if y.shape[0] != self.train_assignments_.shape[0]:
+                raise ValueError("y must align with the clustered training set")
+            mask = np.ones(y.shape[0], dtype=bool)
+            if benchmarked is not None:
+                benchmarked = np.asarray(benchmarked)
+                if benchmarked.dtype == bool:
+                    mask = benchmarked.copy()
+                else:
+                    mask = np.zeros(y.shape[0], dtype=bool)
+                    mask[benchmarked] = True
+            if source_y is not None:
+                source_y = np.asarray(source_y, dtype=object)
+                if source_y.shape != y.shape:
+                    raise ValueError("source_y must align with y")
+            if not mask.any() and source_y is None:
+                raise ValueError("at least one benchmarked matrix is required")
+            # Assemble the evidence as (assignment, label) pairs: target labels
+            # for the benchmarked matrices plus (optionally) source labels for
+            # everything.
+            parts_assign = [self.train_assignments_[mask]]
+            parts_y = [y[mask]]
+            parts_Z = [self._Z_train[mask]]
+            if source_y is not None:
+                parts_assign.append(self.train_assignments_)
+                parts_y.append(source_y)
+                parts_Z.append(self._Z_train)
+            ev_assign = np.concatenate(parts_assign)
+            ev_y = np.concatenate(parts_y)
+            global_majority = Counter(ev_y.tolist()).most_common(1)[0][0]
+            if self.labeler == "vote":
+                labels = self._label_by_vote(ev_assign, ev_y, global_majority)
             else:
-                mask = np.zeros(y.shape[0], dtype=bool)
-                mask[benchmarked] = True
-        if source_y is not None:
-            source_y = np.asarray(source_y, dtype=object)
-            if source_y.shape != y.shape:
-                raise ValueError("source_y must align with y")
-        if not mask.any() and source_y is None:
-            raise ValueError("at least one benchmarked matrix is required")
-        # Assemble the evidence as (assignment, label) pairs: target labels
-        # for the benchmarked matrices plus (optionally) source labels for
-        # everything.
-        parts_assign = [self.train_assignments_[mask]]
-        parts_y = [y[mask]]
-        parts_Z = [self._Z_train[mask]]
-        if source_y is not None:
-            parts_assign.append(self.train_assignments_)
-            parts_y.append(source_y)
-            parts_Z.append(self._Z_train)
-        ev_assign = np.concatenate(parts_assign)
-        ev_y = np.concatenate(parts_y)
-        global_majority = Counter(ev_y.tolist()).most_common(1)[0][0]
-        if self.labeler == "vote":
-            labels = self._label_by_vote(ev_assign, ev_y, global_majority)
-        else:
-            ev_Z = np.vstack(parts_Z)
-            labels = self._label_by_model(ev_Z, ev_y)
-        self.cluster_labels_ = np.asarray(labels, dtype=object)
-        return self
+                ev_Z = np.vstack(parts_Z)
+                labels = self._label_by_model(ev_Z, ev_y)
+            self.cluster_labels_ = np.asarray(labels, dtype=object)
+            return self
 
     def _label_by_vote(
         self, assignments: np.ndarray, y: np.ndarray, fallback: str
@@ -239,8 +242,9 @@ class ClusterFormatSelector:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not hasattr(self, "cluster_labels_"):
             raise NotFittedError("clusters have not been labeled yet")
-        clusters = self.assign_clusters(X)
-        return self.cluster_labels_[clusters]
+        with TELEMETRY.span("ml.predict", model=self._clusterer_name()):
+            clusters = self.assign_clusters(X)
+            return self.cluster_labels_[clusters]
 
     def benchmarking_budget(self, per_cluster: int = 1) -> int:
         """Matrices to benchmark on a new platform (§4: ideally one per
@@ -266,6 +270,11 @@ class ClusterFormatSelector:
             take = min(per_cluster, members.size)
             chosen.extend(rng.choice(members, size=take, replace=False))
         return np.asarray(sorted(chosen))
+
+    def _clusterer_name(self) -> str:
+        if isinstance(self.clusterer, str):
+            return self.clusterer
+        return type(self.clusterer).__name__
 
     def _require_clustered(self) -> None:
         if not hasattr(self, "train_assignments_"):

@@ -26,6 +26,7 @@ from repro.ml.knn import KNeighborsClassifier
 from repro.ml.logistic import LogisticRegression
 from repro.ml.svm import SVC
 from repro.ml.tree import DecisionTreeClassifier
+from repro.obs import TELEMETRY
 
 #: Model name → (classifier factory, needs feature scaling pipeline).
 SUPERVISED_MODELS: dict[str, tuple[Callable[[int], BaseEstimator], bool]] = {
@@ -61,26 +62,28 @@ class SupervisedFormatSelector(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "SupervisedFormatSelector":
         factory, needs_scaling = SUPERVISED_MODELS[self.model]
-        if needs_scaling:
-            # Scaling-sensitive models use the paper's transform + min-max
-            # stages, without PCA (each supervised method uses "an
-            # optimized subset of the features"; full scaled features work
-            # best for these).
-            self._pipeline = FeaturePipeline(transform="log", n_components=None)
-            Xp = self._pipeline.fit(X).transform_features(X)
-        else:
-            self._pipeline = None
-            Xp = np.asarray(X, dtype=np.float64)
-        self._clf = factory(self.seed)
-        self._clf.fit(Xp, np.asarray(y))
+        with TELEMETRY.span("ml.fit", model=self.model):
+            if needs_scaling:
+                # Scaling-sensitive models use the paper's transform + min-max
+                # stages, without PCA (each supervised method uses "an
+                # optimized subset of the features"; full scaled features work
+                # best for these).
+                self._pipeline = FeaturePipeline(transform="log", n_components=None)
+                Xp = self._pipeline.fit(X).transform_features(X)
+            else:
+                self._pipeline = None
+                Xp = np.asarray(X, dtype=np.float64)
+            self._clf = factory(self.seed)
+            self._clf.fit(Xp, np.asarray(y))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not hasattr(self, "_clf"):
             raise NotFittedError("SupervisedFormatSelector must be fitted")
-        Xp = (
-            self._pipeline.transform_features(X)
-            if self._pipeline is not None
-            else np.asarray(X, dtype=np.float64)
-        )
-        return self._clf.predict(Xp)
+        with TELEMETRY.span("ml.predict", model=self.model):
+            Xp = (
+                self._pipeline.transform_features(X)
+                if self._pipeline is not None
+                else np.asarray(X, dtype=np.float64)
+            )
+            return self._clf.predict(Xp)

@@ -25,6 +25,7 @@ from repro.core.semisupervised import ClusterFormatSelector
 from repro.core.speedup import SpeedupMetrics, speedup_metrics
 from repro.core.supervised import SupervisedFormatSelector
 from repro.ml.metrics import accuracy_score, f1_macro, matthews_corrcoef
+from repro.obs import TELEMETRY
 
 #: The paper's retraining fractions.
 RETRAIN_FRACTIONS = (0.0, 0.25, 0.5)
@@ -94,20 +95,21 @@ def transfer_semisupervised(
     matrices in the same order).
     """
     _check_aligned(source, target)
-    Xtr = source.X[train_idx]
-    selector.fit_clusters(Xtr)
-    mask = _retrain_mask(
-        len(train_idx), retrain_fraction, source.labels[train_idx], seed
-    )
-    # Full source evidence plus the re-benchmarked target fraction.
-    selector.label_clusters(
-        target.labels[train_idx],
-        benchmarked=mask,
-        source_y=source.labels[train_idx],
-    )
-    pred = selector.predict(target.X[test_idx])
-    times = [target.times[i] for i in test_idx] if with_speedups else None
-    return _score(target.labels[test_idx], pred, times)
+    with TELEMETRY.span("transfer.semisupervised", fraction=retrain_fraction):
+        Xtr = source.X[train_idx]
+        selector.fit_clusters(Xtr)
+        mask = _retrain_mask(
+            len(train_idx), retrain_fraction, source.labels[train_idx], seed
+        )
+        # Full source evidence plus the re-benchmarked target fraction.
+        selector.label_clusters(
+            target.labels[train_idx],
+            benchmarked=mask,
+            source_y=source.labels[train_idx],
+        )
+        pred = selector.predict(target.X[test_idx])
+        times = [target.times[i] for i in test_idx] if with_speedups else None
+        return _score(target.labels[test_idx], pred, times)
 
 
 def transfer_supervised(
@@ -128,17 +130,20 @@ def transfer_supervised(
     paper's Table-9 training times show).
     """
     _check_aligned(source, target)
-    mask = _retrain_mask(
-        len(train_idx), retrain_fraction, source.labels[train_idx], seed
-    )
-    X_train, y_train = transfer_training_set(
-        source, target, train_idx, mask
-    )
-    model = SupervisedFormatSelector(model_name, seed=seed)
-    model.fit(X_train, y_train)
-    pred = model.predict(target.X[test_idx])
-    times = [target.times[i] for i in test_idx] if with_speedups else None
-    return _score(target.labels[test_idx], pred, times)
+    with TELEMETRY.span(
+        "transfer.supervised", model=model_name, fraction=retrain_fraction
+    ):
+        mask = _retrain_mask(
+            len(train_idx), retrain_fraction, source.labels[train_idx], seed
+        )
+        X_train, y_train = transfer_training_set(
+            source, target, train_idx, mask
+        )
+        model = SupervisedFormatSelector(model_name, seed=seed)
+        model.fit(X_train, y_train)
+        pred = model.predict(target.X[test_idx])
+        times = [target.times[i] for i in test_idx] if with_speedups else None
+        return _score(target.labels[test_idx], pred, times)
 
 
 def transfer_training_set(

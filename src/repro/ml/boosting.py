@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_X_y, check_array, encode_labels
+from repro.ml.tree import FlatTree, best_cut, presort, split_block
 
 
 @dataclass
@@ -49,67 +50,55 @@ class _GradientTree:
         self.min_child_weight = min_child_weight
 
     def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray) -> "_GradientTree":
-        self.root_ = self._build(X, g, h, depth=0)
+        self._XT = np.ascontiguousarray(X.T)
+        self._g, self._h = g, h
+        self._features = np.arange(X.shape[1])[:, None]
+        self.root_ = self._build(
+            np.arange(X.shape[0]), presort(self._XT), depth=0
+        )
+        del self._XT, self._g, self._h, self._features
+        self._flat = FlatTree(self.root_)
+        self._weight = np.array([node.weight for node in self._flat.nodes])
         return self
 
     def _leaf_weight(self, g_sum: float, h_sum: float) -> float:
         return -g_sum / (h_sum + self.reg_lambda)
 
-    def _build(
-        self, X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int
-    ) -> _RegNode:
-        g_sum, h_sum = float(g.sum()), float(h.sum())
+    def _build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> _RegNode:
+        # ``rows`` are the node's rows in their original order: a pairwise
+        # sum depends on the order of its terms, so the sums never run in
+        # presorted order.
+        g_sum, h_sum = float(self._g[rows].sum()), float(self._h[rows].sum())
         node = _RegNode(weight=self._leaf_weight(g_sum, h_sum))
-        if depth >= self.max_depth or X.shape[0] < 2:
+        if depth >= self.max_depth or rows.shape[0] < 2:
             return node
-        parent_score = g_sum * g_sum / (h_sum + self.reg_lambda)
-        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        for j in range(X.shape[1]):
-            order = np.argsort(X[:, j], kind="stable")
-            xs = X[order, j]
-            gl = np.cumsum(g[order])
-            hl = np.cumsum(h[order])
-            distinct = xs[1:] != xs[:-1]
-            pos = np.flatnonzero(distinct) + 1
-            if pos.size == 0:
-                continue
-            GL, HL = gl[pos - 1], hl[pos - 1]
-            GR, HR = g_sum - GL, h_sum - HL
-            ok = (HL >= self.min_child_weight) & (HR >= self.min_child_weight)
-            if not ok.any():
-                continue
-            gains = 0.5 * (
-                GL * GL / (HL + self.reg_lambda)
-                + GR * GR / (HR + self.reg_lambda)
-                - parent_score
-            ) - self.gamma
-            gains = np.where(ok, gains, -np.inf)
-            i = int(np.argmax(gains))
-            if gains[i] > best_gain:
-                best_gain = float(gains[i])
-                best_feature = j
-                best_threshold = 0.5 * (xs[pos[i] - 1] + xs[pos[i]])
-        if best_feature < 0:
+        lam, mcw = self.reg_lambda, self.min_child_weight
+        parent_score = g_sum * g_sum / (h_sum + lam)
+        # Cut c puts the first c + 1 sorted rows of a feature on the left.
+        GL = self._g[order].cumsum(axis=1)[:, :-1]
+        HL = self._h[order].cumsum(axis=1)[:, :-1]
+        GR, HR = g_sum - GL, h_sum - HL
+        gains = 0.5 * (
+            GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score
+        ) - self.gamma
+        values = self._XT[self._features, order]
+        gains[values[:, 1:] == values[:, :-1]] = -np.inf
+        gains[(HL < mcw) | (HR < mcw)] = -np.inf
+        cut = best_cut(gains)
+        if cut is None:
             return node
-        mask = X[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._build(X[mask], g[mask], h[mask], depth + 1)
-        node.right = self._build(X[~mask], g[~mask], h[~mask], depth + 1)
+        feature, c = cut
+        node.feature = feature
+        node.threshold = 0.5 * (values[feature, c] + values[feature, c + 1])
+        left, right = split_block(
+            rows, order, self._XT[feature] <= node.threshold
+        )
+        node.left = self._build(*left, depth + 1)
+        node.right = self._build(*right, depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            node = self.root_
-            while not node.is_leaf:
-                node = (
-                    node.left
-                    if X[i, node.feature] <= node.threshold
-                    else node.right
-                )
-            out[i] = node.weight
-        return out
+        return self._weight[self._flat.leaves(X)]
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_X_y, check_array
+from repro.ml.base import BaseEstimator, check_X_y, check_array, encode_labels
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -38,7 +38,9 @@ class RandomForestClassifier(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
-        self.classes_ = np.unique(y)
+        # Labels are encoded once; each tree keeps the classes its
+        # bootstrap sample holds, exactly as encoding that sample would.
+        self.classes_, encoded = encode_labels(y)
         rng = np.random.default_rng(self.seed)
         n = X.shape[0]
         self.trees_: list[DecisionTreeClassifier] = []
@@ -54,7 +56,8 @@ class RandomForestClassifier(BaseEstimator):
                 max_features=self.max_features,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
-            tree.fit(X[idx], y[idx])
+            present, codes = np.unique(encoded[idx], return_inverse=True)
+            tree._grow(X[idx], codes, self.classes_[present])
             self.trees_.append(tree)
         self.n_features_ = X.shape[1]
         return self
@@ -62,13 +65,16 @@ class RandomForestClassifier(BaseEstimator):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted("trees_")
         X = check_array(X)
+        if X.shape[1] != self.n_features_:
+            raise ValueError(
+                f"expected {self.n_features_} features, got {X.shape[1]}"
+            )
         # Trees may have seen different class subsets in their bootstrap
         # samples; align their probability columns onto self.classes_.
         agg = np.zeros((X.shape[0], self.classes_.shape[0]))
         for tree in self.trees_:
-            proba = tree.predict_proba(X)
             cols = np.searchsorted(self.classes_, tree.classes_)
-            agg[:, cols] += proba
+            agg[:, cols] += tree._leaf_proba(X)
         return agg / len(self.trees_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -2,6 +2,12 @@
 
 Backs both the paper's DT baseline and the Random Forest (prior work
 Sedaghati et al. [30] used trees/forests for format selection).
+
+Split search is exact greedy over a presorted block (DESIGN §17): one
+stable argsort of every column per fit, a stable filter of it for every
+child, and all (feature × cut) gains of a node scored in one vectorized
+pass.  The fitted tree is also flattened into node arrays, so prediction
+descends all rows level by level instead of walking one row at a time.
 """
 
 from __future__ import annotations
@@ -36,50 +42,123 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[int, float, float]:
-    """Best (feature, threshold, gain) over candidate features.
+def presort(XT: np.ndarray) -> np.ndarray:
+    """Row indices sorted stably along each feature of a (features, rows)
+    matrix: the block every node of one fit filters."""
+    return np.argsort(XT, axis=1, kind="stable")
 
-    For each feature the samples are sorted once and class counts are
-    accumulated cumulatively, so all thresholds are evaluated in O(n·k)
-    after the O(n log n) sort — the standard exact-greedy formulation.
+
+def split_block(
+    rows: np.ndarray, order: np.ndarray, goes_left: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(rows, block) of the left and of the right child of a node.
+
+    ``rows`` are the node's rows in their original order, ``order`` its
+    presorted block and ``goes_left`` is indexed by row.  A stable filter
+    keeps the rows in their original order, and it keeps each block row
+    a stable sort: values stay ascending and tied rows keep their order,
+    so each child's block equals a fresh stable argsort of its own rows.
     """
-    n = y.shape[0]
-    parent_gini = _gini(np.bincount(y, minlength=n_classes).astype(float))
-    best = (-1, 0.0, 0.0)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    for j in feature_indices:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        # Cumulative class counts for the "left" side of each cut.
-        left_counts = np.cumsum(onehot[order], axis=0)
-        total = left_counts[-1]
-        # Valid cut positions: between distinct adjacent values, with at
-        # least min_samples_leaf on each side.
-        distinct = xs[1:] != xs[:-1]
-        pos = np.flatnonzero(distinct) + 1  # left side has `pos` samples
-        pos = pos[(pos >= min_samples_leaf) & (n - pos >= min_samples_leaf)]
-        if pos.size == 0:
-            continue
-        lc = left_counts[pos - 1]
-        rc = total - lc
-        nl = pos.astype(float)
-        nr = n - nl
-        gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        gains = parent_gini - weighted
-        i = int(np.argmax(gains))
-        if gains[i] > best[2]:
-            thr = 0.5 * (xs[pos[i] - 1] + xs[pos[i]])
-            best = (int(j), float(thr), float(gains[i]))
-    return best
+    in_left = goes_left[rows]
+    mask = goes_left[order]
+    n_features = order.shape[0]
+    return (
+        (rows[in_left], order[mask].reshape(n_features, -1)),
+        (rows[~in_left], order[~mask].reshape(n_features, -1)),
+    )
+
+
+def best_cut(gains: np.ndarray) -> tuple[int, int] | None:
+    """(feature row, cut) of the best positive gain, else ``None``.
+
+    ``gains`` holds one row per candidate feature and one column per cut,
+    with ``-inf`` where a cut is not allowed.  The first maximum in row
+    order is the first maximum within the first row that holds it: the
+    tie-break of a loop over features that keeps a strictly better
+    running best, starting at 0.
+    """
+    if not gains.size:  # no candidate feature
+        return None
+    i = int(gains.argmax())
+    if not gains.flat[i] > 0.0:
+        return None
+    return divmod(i, gains.shape[1])
+
+
+def _best_split(
+    values: np.ndarray,
+    onehot: np.ndarray,
+    counts: np.ndarray,
+    min_samples_leaf: int,
+) -> tuple[int, int] | None:
+    """(feature row, cut) of the best Gini cut of a presorted block.
+
+    ``values`` (features × rows) holds each candidate feature's values in
+    stable ascending order and ``onehot`` (features × rows × classes) the
+    classes of the same rows; ``counts`` the node's class counts.  Cut
+    ``c`` puts the first ``c + 1`` sorted rows on the left.  Class counts
+    accumulate along each sorted row with the class axis last, so every
+    gain is computed exactly as a per-feature sort would.
+    """
+    n = values.shape[1]
+    parent_gini = _gini(counts)
+    left = onehot.cumsum(axis=1)[:, :-1]
+    nl = np.arange(1.0, n)
+    nr = n - nl
+    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=2)
+    gini_r = 1.0 - (((counts - left) / nr[:, None]) ** 2).sum(axis=2)
+    gains = parent_gini - (nl * gini_l + nr * gini_r) / n
+    # Only cuts between distinct values, with at least min_samples_leaf
+    # rows on each side (nl >= msl and nr >= msl).
+    gains[values[:, 1:] == values[:, :-1]] = -np.inf
+    if min_samples_leaf > 1:
+        gains[:, : min_samples_leaf - 1] = -np.inf
+        gains[:, max(n - min_samples_leaf, 0):] = -np.inf
+    return best_cut(gains)
+
+
+class FlatTree:
+    """A fitted tree as breadth-first node arrays.
+
+    A leaf's children point back at the leaf, so ``depth`` rounds of
+    "compare, step to a child" park every row on its leaf.  A round only
+    compares each row's own feature value with a threshold, so the leaf a
+    row reaches does not depend on the other rows of the batch.
+    """
+
+    __slots__ = ("nodes", "feature", "threshold", "children", "depth")
+
+    def __init__(self, root) -> None:
+        nodes = [root]
+        feature: list[int] = []
+        threshold: list[float] = []
+        children: list[int] = []  # per node: [child if x > t, if x <= t]
+        level = [0]
+        for i, node in enumerate(nodes):  # grows while it is walked
+            if node.is_leaf:
+                feature.append(0)
+                threshold.append(0.0)
+                children += (i, i)
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                children += (len(nodes) + 1, len(nodes))
+                nodes += (node.left, node.right)
+                level += (level[i] + 1, level[i] + 1)
+        self.nodes = nodes
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.children = np.array(children, dtype=np.intp)
+        self.depth = max(level)
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Index into ``nodes`` of the leaf each row of ``X`` reaches."""
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self.depth):
+            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = self.children[2 * node + goes_left]
+        return node
 
 
 class DecisionTreeClassifier(BaseEstimator):
@@ -115,38 +194,71 @@ class DecisionTreeClassifier(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
-        self.classes_, encoded = encode_labels(y)
+        classes, encoded = encode_labels(y)
+        return self._grow(X, encoded, classes)
+
+    def _grow(
+        self, X: np.ndarray, encoded: np.ndarray, classes: np.ndarray
+    ) -> "DecisionTreeClassifier":
+        """Fit on validated ``X`` and labels encoded as ``classes`` indices."""
+        self.classes_ = classes
         self._rng = np.random.default_rng(self.seed)
         self.n_features_ = X.shape[1]
         self._k = self._n_candidate_features(self.n_features_)
-        self.root_ = self._build(X, encoded, depth=0)
+        self._XT = np.ascontiguousarray(X.T)
+        self._onehot = np.eye(classes.shape[0])[encoded]
+        self._y = encoded
+        self.root_ = self._build(
+            np.arange(X.shape[0]), presort(self._XT), depth=0
+        )
+        del self._XT, self._y, self._onehot
+        self._flat = FlatTree(self.root_)
+        counts = np.array([node.counts for node in self._flat.nodes])
+        totals = counts.sum(axis=1)[:, None]
+        # A threshold that rounds onto the upper of two adjacent values
+        # sends every row left, so a node can be empty: its distribution
+        # is its (zero) counts.
+        self._proba = np.divide(
+            counts, totals, out=np.zeros_like(counts), where=totals > 0
+        )
         return self
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
+    def _build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> _Node:
         n_classes = self.classes_.shape[0]
-        counts = np.bincount(y, minlength=n_classes).astype(float)
+        counts = np.bincount(self._y[rows], minlength=n_classes).astype(float)
         node = _Node(counts=counts)
         if (
             (self.max_depth is not None and depth >= self.max_depth)
-            or y.shape[0] < self.min_samples_split
+            or rows.shape[0] < self.min_samples_split
             or np.count_nonzero(counts) <= 1
         ):
             return node
         if self._k < self.n_features_:
+            # Candidates in draw order, which sets the tie-break between
+            # equally good features.
             feats = self._rng.choice(self.n_features_, self._k, replace=False)
+            order_k = order[feats]
         else:
             feats = np.arange(self.n_features_)
-        feature, threshold, gain = _best_split(
-            X, y, n_classes, feats, self.min_samples_leaf
+            order_k = order
+        values = self._XT[feats[:, None], order_k]
+        cut = _best_split(
+            values, self._onehot[order_k], counts, self.min_samples_leaf
         )
-        if feature < 0 or gain <= 0.0:
+        if cut is None:
             return node
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
+        f, c = cut
+        node.feature = int(feats[f])
+        node.threshold = float(0.5 * (values[f, c] + values[f, c + 1]))
+        left, right = split_block(
+            rows, order, self._XT[node.feature] <= node.threshold
+        )
+        node.left = self._build(*left, depth + 1)
+        node.right = self._build(*right, depth + 1)
         return node
+
+    def _leaf_proba(self, X: np.ndarray) -> np.ndarray:
+        return self._proba[self._flat.leaves(X)]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted("root_")
@@ -155,18 +267,7 @@ class DecisionTreeClassifier(BaseEstimator):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.shape[1]}"
             )
-        out = np.empty((X.shape[0], self.classes_.shape[0]))
-        for i in range(X.shape[0]):
-            node = self.root_
-            while not node.is_leaf:
-                node = (
-                    node.left
-                    if X[i, node.feature] <= node.threshold
-                    else node.right
-                )
-            total = node.counts.sum()
-            out[i] = node.counts / total if total else node.counts
-        return out
+        return self._leaf_proba(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -175,20 +276,8 @@ class DecisionTreeClassifier(BaseEstimator):
     def depth(self) -> int:
         """Realised depth of the fitted tree."""
         self._require_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
+        return self._flat.depth
 
     def n_leaves(self) -> int:
         self._require_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
+        return sum(node.is_leaf for node in self._flat.nodes)

@@ -332,6 +332,9 @@ class ServingTier:
         self.n_brownouts = 0
         self.n_reinstated = 0
         self.n_draining_rejected = 0
+        #: Lines the front-end answered ``invalid`` itself (parse failures
+        #: and over-limit lines); none of them reaches a worker.
+        self.n_invalid = 0
         # Hedge token bucket: tokens accrue per routed request at the
         # budget rate; each hedge spends one.  The burst cap bounds how
         # many hedges a latency clump can fire back-to-back.
@@ -742,6 +745,8 @@ class ServingTier:
         try:
             request = parse_request_line(line, self.config.max_request_bytes)
         except RequestParseError as exc:
+            self.n_invalid += 1
+            TELEMETRY.inc("serving.invalid")
             return self._log_access(exc.response, "invalid", t0)
         if request.op == "shutdown":
             response = await self._op_shutdown(request)
@@ -1135,6 +1140,9 @@ class ServingTier:
             "serving.draining_rejected": {
                 "type": "counter", "value": float(self.n_draining_rejected),
             },
+            "serving.invalid": {
+                "type": "counter", "value": float(self.n_invalid),
+            },
         }
 
     async def _op_health(self, request) -> dict:
@@ -1299,6 +1307,8 @@ class ServingTier:
                 response = too_large_response(
                     exc.n_bytes, self.config.max_request_bytes
                 )
+                self.n_invalid += 1
+                TELEMETRY.inc("serving.invalid")
                 return self._log_access(response, "invalid", time.monotonic())
             if not line:
                 return None

@@ -123,6 +123,38 @@ class TestTransferEvaluation:
             np.mean(pred == src.labels[test])
         )
 
+    def test_supervised_transfer_is_spanned_and_unchanged_by_tracing(
+        self, tiny_data
+    ):
+        from repro.obs import TELEMETRY
+
+        src = tiny_data.common["pascal"]
+        tgt = tiny_data.common["volta"]
+        train, test = self._split(src)
+        plain = transfer_supervised("RF", src, tgt, train, test, 0.25, seed=2)
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            traced = transfer_supervised(
+                "RF", src, tgt, train, test, 0.25, seed=2
+            )
+            events = TELEMETRY.tracer.events()
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert traced == plain
+        by_id = {e["args"]["id"]: e for e in events}
+        root = next(e for e in events if e["name"] == "transfer.supervised")
+        assert root["args"]["model"] == "RF"
+        fits = [e for e in events if e["name"] == "ml.fit"]
+        assert len(fits) == 1
+        assert fits[0]["args"]["model"] == "RF"
+        assert by_id[fits[0]["args"]["parent"]] is root
+        # One span per selector call, none per tree.
+        assert {e["name"] for e in events} == {
+            "transfer.supervised", "ml.fit", "ml.predict",
+        }
+
     def test_misaligned_datasets_rejected(self, tiny_data):
         src = tiny_data.common["pascal"]
         tgt = tiny_data.common["volta"].subset(list(range(len(src) - 1)))

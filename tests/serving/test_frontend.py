@@ -304,11 +304,13 @@ def test_read_line_over_limit_line_at_eof():
 def test_tier_answers_lines_past_asyncios_default_limit(model_path, tmp_path):
     """Over 64 KiB under the cap: answered; over the cap: typed refusal.
 
-    Either way the connection survives for the next request.
+    Either way the connection survives for the next request, and the
+    tier counts the lines it refused itself (over the cap, or not JSON).
     """
     cap = 128 * 1024
     big = json.dumps({"id": "big", "op": "health", "pad": "x" * 70_000})
     huge = json.dumps({"id": "huge", "op": "health", "pad": "x" * 4 * cap})
+    malformed = '{"id": "bad", "op": '
     follow_up = json.dumps({"id": "after", "op": "healthz"})
 
     async def scenario():
@@ -318,7 +320,7 @@ def test_tier_answers_lines_past_asyncios_default_limit(model_path, tmp_path):
         reader, writer = await asyncio.open_unix_connection(front)
         try:
             answers = []
-            for line in (big, huge, follow_up):
+            for line in (big, huge, malformed, follow_up):
                 writer.write((line + "\n").encode())
                 await writer.drain()
                 answers.append(json.loads(await reader.readline()))
@@ -326,14 +328,19 @@ def test_tier_answers_lines_past_asyncios_default_limit(model_path, tmp_path):
             writer.close()
             (await _ops(front, "shutdown"))
             await asyncio.wait_for(task, timeout=30.0)
-        return answers
+        return tier, answers
 
-    big_answer, huge_answer, after = asyncio.run(scenario())
+    tier, (big_answer, huge_answer, bad_answer, after) = asyncio.run(scenario())
     assert big_answer["id"] == "big" and big_answer["status"] == "ok"
     assert huge_answer == too_large_response(len(huge) + 1, cap)
-    # The same bytes the single-process server gives for that line.
+    # The same bytes the single-process server gives for those lines.
     server = SelectorServer(
         ServingConfig(model_path=model_path, max_request_bytes=cap)
     )
     assert server.handle_line(huge + "\n") == huge_answer
+    assert bad_answer["status"] == "invalid"
+    assert server.handle_line(malformed + "\n") == bad_answer
     assert after["id"] == "after" and after["status"] == "ok"
+    assert tier.n_invalid == 2
+    assert tier.n_routed == 0
+    assert tier.tier_metrics()["serving.invalid"]["value"] == 2.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -168,6 +169,12 @@ def test_swap_is_atomic_under_concurrent_requests(model_path, fake_clock):
                 errors.append("inconsistent inference result")
                 return
 
+    # Four readers spin holding the GIL.  At the default 5 ms switch
+    # interval the swapping thread waits that long to get it back after
+    # every blocking call (minutes for the 20 swaps); at 0.1 ms they take
+    # about a second, and readers and swapper interleave more finely.
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
     threads = [threading.Thread(target=reader) for _ in range(4)]
     for thread in threads:
         thread.start()
@@ -182,5 +189,6 @@ def test_swap_is_atomic_under_concurrent_requests(model_path, fake_clock):
         stop.set()
         for thread in threads:
             thread.join(timeout=10)
+        sys.setswitchinterval(switch_interval)
     assert errors == []
     assert host.n_reloads >= 1

@@ -102,6 +102,11 @@ class TestProfile:
         assert "cli.train" in names
         assert "kmeans.fit" in names
         assert "pipeline.fit" in names
+        # The training layer: one span per selector call, naming its model.
+        fit = next(e for e in events if e["name"] == "ml.fit")
+        label = next(e for e in events if e["name"] == "ml.label")
+        assert fit["args"]["model"] == "kmeans"
+        assert label["args"]["model"] == "vote"
         # The root span covers the whole command, so the trace accounts
         # for (well over) 90% of the command's wall time.
         root = next(e for e in events if e["name"] == "cli.train")

@@ -57,8 +57,8 @@ class _GradientTree:
             np.arange(X.shape[0]), presort(self._XT), depth=0
         )
         del self._XT, self._g, self._h, self._features
-        self._flat = FlatTree(self.root_)
-        self._weight = np.array([node.weight for node in self._flat.nodes])
+        self._flat, nodes = FlatTree.from_root(self.root_)
+        self._weight = np.array([node.weight for node in nodes])
         return self
 
     def _leaf_weight(self, g_sum: float, h_sum: float) -> float:
@@ -98,7 +98,7 @@ class _GradientTree:
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._weight[self._flat.leaves(X)]
+        return self._weight[self._flat.leaves(X)[0]]
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -165,17 +165,24 @@ class GradientBoostingClassifier(BaseEstimator):
                 F[:, c] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
             self.trees_.append(round_trees)
+        trees = [tree for round_trees in self.trees_ for tree in round_trees]
+        self._flat = FlatTree.stack([tree._flat for tree in trees])
+        self._weight = np.concatenate([tree._weight for tree in trees])
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted("trees_")
         X = check_array(X)
-        k = self.classes_.shape[0]
-        F = np.zeros((X.shape[0], k))
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                F[:, c] += self.learning_rate * tree.predict(X)
-        return F
+        # Every tree's shrunken leaf weights, (rounds × classes × rows).
+        F = self._weight[self._flat.leaves(X)]
+        F = F.reshape(len(self.trees_), -1, X.shape[0])
+        F *= self.learning_rate
+        # Add the rounds one at a time in round order, starting from 0 (so
+        # a first term of -0.0 gives 0.0), as F[:, c] += learning_rate *
+        # tree.predict(X) did tree by tree.
+        F[0] += 0.0
+        np.cumsum(F, axis=0, out=F)
+        return np.ascontiguousarray(F[-1].T)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         F = self.decision_function(X)

@@ -2,7 +2,9 @@
 
 The paper's setup (§5.1): *"For RF, we use 100 estimators with a maximum
 depth of 6."*  Bagged CART trees with sqrt-feature subsampling and
-soft-probability voting.
+soft-probability voting.  Every tree grows in one batch
+(:func:`repro.ml.tree.grow`) and the fitted forest is one stack of flat
+node arrays, so prediction descends all trees at once.
 """
 
 from __future__ import annotations
@@ -10,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_X_y, check_array, encode_labels
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    grow,
+    leaf_proba,
+    n_candidate_features,
+)
 
 
 class RandomForestClassifier(BaseEstimator):
@@ -38,28 +45,36 @@ class RandomForestClassifier(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
-        # Labels are encoded once; each tree keeps the classes its
-        # bootstrap sample holds, exactly as encoding that sample would.
+        k = n_candidate_features(self.max_features, X.shape[1])
         self.classes_, encoded = encode_labels(y)
         rng = np.random.default_rng(self.seed)
         n = X.shape[0]
-        self.trees_: list[DecisionTreeClassifier] = []
+        samples = np.empty((self.n_estimators, n), dtype=np.intp)
+        seeds = []
         for t in range(self.n_estimators):
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree = DecisionTreeClassifier(
+            samples[t] = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            seeds.append(int(rng.integers(0, 2**31 - 1)))
+        # Each tree keeps the classes its bootstrap sample holds; the
+        # node counts hold them in the forest's class columns.
+        self._flat, counts, present = grow(
+            X, samples, encoded[samples], self.classes_.shape[0], seeds, k,
+            self.max_depth, self.min_samples_split, self.min_samples_leaf,
+        )
+        self._proba = leaf_proba(counts)
+        self.n_features_ = X.shape[1]
+        self.trees_: list[DecisionTreeClassifier] = []
+        for t, seed in enumerate(seeds):
+            cols = np.flatnonzero(present[t])
+            self.trees_.append(DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                seed=int(rng.integers(0, 2**31 - 1)),
-            )
-            present, codes = np.unique(encoded[idx], return_inverse=True)
-            tree._grow(X[idx], codes, self.classes_[present])
-            self.trees_.append(tree)
-        self.n_features_ = X.shape[1]
+                seed=seed,
+            )._set_fitted(
+                self._flat.tree(t), counts, self._proba,
+                self.classes_[cols], cols, self.n_features_, k,
+            ))
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -69,13 +84,13 @@ class RandomForestClassifier(BaseEstimator):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.shape[1]}"
             )
-        # Trees may have seen different class subsets in their bootstrap
-        # samples; align their probability columns onto self.classes_.
-        agg = np.zeros((X.shape[0], self.classes_.shape[0]))
-        for tree in self.trees_:
-            cols = np.searchsorted(self.classes_, tree.classes_)
-            agg[:, cols] += tree._leaf_proba(X)
-        return agg / len(self.trees_)
+        # (trees × rows × classes); the class columns were aligned onto
+        # self.classes_ at fit, zero where a tree's sample lacked a class.
+        proba = self._proba[self._flat.leaves(X)]
+        # An accumulate adds one tree at a time in tree order, as a loop
+        # over trees would; a sum over the tree axis may regroup terms.
+        np.cumsum(proba, axis=0, out=proba)
+        return proba[-1] / proba.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)

@@ -5,14 +5,20 @@ Sedaghati et al. [30] used trees/forests for format selection).
 
 Split search is exact greedy over a presorted block (DESIGN §17): one
 stable argsort of every column per fit, a stable filter of it for every
-child, and all (feature × cut) gains of a node scored in one vectorized
-pass.  The fitted tree is also flattened into node arrays, so prediction
-descends all rows level by level instead of walking one row at a time.
+child.  :func:`grow` grows a whole batch of trees at once: every tree of
+a forest, or the one tree of a DT.  Each step takes the next pending node
+of every unfinished tree in depth-first preorder (all of them when no
+features are drawn) and scores all of those nodes' (feature × cut) gains
+in one vectorized pass.  The trees come out as flat node arrays
+(:class:`FlatTree`), so prediction descends all rows of all trees level
+by level.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,18 +40,11 @@ class _Node:
         return self.left is None
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
-
-
 def presort(XT: np.ndarray) -> np.ndarray:
     """Row indices sorted stably along each feature of a (features, rows)
-    matrix: the block every node of one fit filters."""
-    return np.argsort(XT, axis=1, kind="stable")
+    matrix, or of a (features, trees, rows) stack of them: the block
+    every node of one fit filters."""
+    return np.argsort(XT, axis=-1, kind="stable")
 
 
 def split_block(
@@ -85,54 +84,42 @@ def best_cut(gains: np.ndarray) -> tuple[int, int] | None:
     return divmod(i, gains.shape[1])
 
 
-def _best_split(
-    values: np.ndarray,
-    onehot: np.ndarray,
-    counts: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[int, int] | None:
-    """(feature row, cut) of the best Gini cut of a presorted block.
-
-    ``values`` (features × rows) holds each candidate feature's values in
-    stable ascending order and ``onehot`` (features × rows × classes) the
-    classes of the same rows; ``counts`` the node's class counts.  Cut
-    ``c`` puts the first ``c + 1`` sorted rows on the left.  Class counts
-    accumulate along each sorted row with the class axis last, so every
-    gain is computed exactly as a per-feature sort would.
-    """
-    n = values.shape[1]
-    parent_gini = _gini(counts)
-    left = onehot.cumsum(axis=1)[:, :-1]
-    nl = np.arange(1.0, n)
-    nr = n - nl
-    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=2)
-    gini_r = 1.0 - (((counts - left) / nr[:, None]) ** 2).sum(axis=2)
-    gains = parent_gini - (nl * gini_l + nr * gini_r) / n
-    # Only cuts between distinct values, with at least min_samples_leaf
-    # rows on each side (nl >= msl and nr >= msl).
-    gains[values[:, 1:] == values[:, :-1]] = -np.inf
-    if min_samples_leaf > 1:
-        gains[:, : min_samples_leaf - 1] = -np.inf
-        gains[:, max(n - min_samples_leaf, 0):] = -np.inf
-    return best_cut(gains)
-
-
 class FlatTree:
-    """A fitted tree as breadth-first node arrays.
+    """Fitted trees as flat node arrays, every tree's nodes stacked.
 
-    A leaf's children point back at the leaf, so ``depth`` rounds of
-    "compare, step to a child" park every row on its leaf.  A round only
-    compares each row's own feature value with a threshold, so the leaf a
-    row reaches does not depend on the other rows of the batch.
+    Tree ``t`` holds nodes ``bounds[t]`` (its root) up to ``bounds[t + 1]``
+    and is ``depths[t]`` levels deep; ``children`` indexes the stacked
+    arrays.  A leaf's children point back at the leaf, so ``depth`` (the
+    deepest tree's) rounds of "compare, step to a child" park every row on
+    its leaf in every tree.  A round only compares each row's own feature
+    value with a threshold, so the leaf a row reaches does not depend on
+    the other rows of the batch.
     """
 
-    __slots__ = ("nodes", "feature", "threshold", "children", "depth")
+    __slots__ = ("feature", "threshold", "children", "bounds", "depths", "depth")
 
-    def __init__(self, root) -> None:
+    def __init__(
+        self,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        children: np.ndarray,
+        bounds: np.ndarray,
+        depths: np.ndarray,
+    ) -> None:
+        self.feature = feature
+        self.threshold = threshold
+        self.children = children  # per node: [child if x > t, if x <= t]
+        self.bounds = bounds
+        self.depths = depths
+        self.depth = max(depths.tolist())
+
+    @classmethod
+    def from_root(cls, root) -> tuple["FlatTree", list]:
+        """One linked tree, breadth first, and its nodes in that order."""
         nodes = [root]
         feature: list[int] = []
         threshold: list[float] = []
-        children: list[int] = []  # per node: [child if x > t, if x <= t]
+        children: list[int] = []
         level = [0]
         for i, node in enumerate(nodes):  # grows while it is walked
             if node.is_leaf:
@@ -145,20 +132,352 @@ class FlatTree:
                 children += (len(nodes) + 1, len(nodes))
                 nodes += (node.left, node.right)
                 level += (level[i] + 1, level[i] + 1)
-        self.nodes = nodes
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.children = np.array(children, dtype=np.intp)
-        self.depth = max(level)
+        flat = cls(
+            np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=np.float64),
+            np.array(children, dtype=np.intp),
+            np.array([0, len(nodes)], dtype=np.intp),
+            np.array([max(level)], dtype=np.intp),
+        )
+        return flat, nodes
+
+    @classmethod
+    def stack(cls, trees: list["FlatTree"]) -> "FlatTree":
+        """One-tree FlatTrees as one, in order."""
+        sizes = np.array([tree.feature.shape[0] for tree in trees])
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        children = np.concatenate([tree.children for tree in trees])
+        children += np.repeat(bounds[:-1], 2 * sizes)
+        return cls(
+            np.concatenate([tree.feature for tree in trees]),
+            np.concatenate([tree.threshold for tree in trees]),
+            children,
+            bounds,
+            np.concatenate([tree.depths for tree in trees]),
+        )
+
+    def tree(self, t: int) -> "FlatTree":
+        """Tree ``t`` alone, sharing these arrays."""
+        return FlatTree(
+            self.feature,
+            self.threshold,
+            self.children,
+            self.bounds[t:t + 2],
+            self.depths[t:t + 1],
+        )
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
-        """Index into ``nodes`` of the leaf each row of ``X`` reaches."""
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.intp)
+        """(trees × rows) index of the leaf each row of ``X`` reaches."""
+        n_rows = X.shape[0]
+        node = self.bounds[:-1].repeat(n_rows)
+        rows = np.arange(node.shape[0]) % n_rows
         for _ in range(self.depth):
             goes_left = X[rows, self.feature[node]] <= self.threshold[node]
             node = self.children[2 * node + goes_left]
-        return node
+        return node.reshape(self.depths.shape[0], n_rows)
+
+
+def n_candidate_features(max_features, n_features: int) -> int:
+    """Candidate features drawn at each split.
+
+    ``max_features`` is ``None`` (every feature), ``"sqrt"``, ``"log2"``
+    or an int >= 1 (capped at ``n_features``); anything else raises.
+    """
+    mf = max_features
+    if mf is None:
+        return n_features
+    if isinstance(mf, str) and mf == "sqrt":
+        return max(1, int(np.sqrt(n_features)))
+    if isinstance(mf, str) and mf == "log2":
+        return max(1, int(np.log2(max(n_features, 1))))
+    if isinstance(mf, (int, np.integer)) and not isinstance(mf, bool) and mf >= 1:
+        return min(int(mf), max(n_features, 1))
+    raise ValueError(
+        "max_features must be None, 'sqrt', 'log2' or an int >= 1, "
+        f"got {mf!r}"
+    )
+
+
+def grow(
+    X: np.ndarray,
+    samples: np.ndarray,
+    encoded: np.ndarray,
+    n_classes: int,
+    seeds: list[int],
+    n_candidates: int,
+    max_depth: int | None,
+    min_samples_split: int,
+    min_samples_leaf: int,
+) -> tuple[FlatTree, np.ndarray, np.ndarray]:
+    """Grow one CART tree per row of ``samples``, all in one loop.
+
+    Tree ``t`` fits rows ``samples[t]`` of ``X`` (its bootstrap sample,
+    say) with labels ``encoded[t]`` in ``0..n_classes-1``, and keeps the
+    classes that sample holds, exactly as encoding the sample would.  It
+    draws its candidate features from ``np.random.default_rng(seeds[t])``.
+    Trees holding the same number of classes grow together
+    (:func:`_lockstep`), so every Gini sum reduces over the classes the
+    tree holds.
+
+    Returns the trees as one :class:`FlatTree` (in ``samples`` order,
+    nodes of a tree in creation order, root first), every node's counts
+    over all ``n_classes`` (zero for classes its tree does not hold) and
+    the (trees × classes) mask of the classes each tree holds.
+    """
+    n_trees = samples.shape[0]
+    tree_rows = np.arange(n_trees)[:, None]
+    present = np.bincount(
+        (tree_rows * n_classes + encoded).ravel(),
+        minlength=n_trees * n_classes,
+    ).reshape(n_trees, n_classes) > 0
+    # Each tree's labels as indices into the classes it holds.
+    codes = (np.cumsum(present, axis=1) - 1)[tree_rows, encoded]
+    widths = present.sum(axis=1)
+    nodes, splits = [], []
+    for width in np.unique(widths).tolist():
+        group = np.flatnonzero(widths == width)
+        (t, local, depth, group_counts), split = _lockstep(
+            X, samples[group], codes[group], width,
+            [seeds[i] for i in group.tolist()], n_candidates, max_depth,
+            min_samples_split, min_samples_leaf,
+        )
+        # Counts in the columns of the classes each node's tree holds.
+        cols = np.nonzero(present[group])[1].reshape(-1, width)
+        aligned = np.zeros((t.shape[0], n_classes))
+        aligned[np.arange(t.shape[0])[:, None], cols[t]] = group_counts
+        nodes.append((group[t], local, depth, aligned))
+        splits.append((group[split[0]],) + split[1:])
+    tree, local, depth, node_counts = map(np.concatenate, zip(*nodes))
+    bounds = np.zeros(n_trees + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tree, minlength=n_trees), out=bounds[1:])
+    counts = np.empty_like(node_counts)
+    counts[bounds[tree] + local] = node_counts
+    depths = np.zeros(n_trees, dtype=np.intp)
+    np.maximum.at(depths, tree, depth)
+    feature = np.zeros(counts.shape[0], dtype=np.intp)
+    threshold = np.zeros(counts.shape[0])
+    children = np.repeat(np.arange(counts.shape[0]), 2)  # a leaf: itself
+    tree, local, split_feature, split_threshold, left = map(
+        np.concatenate, zip(*splits)
+    )
+    at = bounds[tree] + local
+    feature[at] = split_feature
+    threshold[at] = split_threshold
+    children[2 * at] = bounds[tree] + left + 1
+    children[2 * at + 1] = bounds[tree] + left
+    return FlatTree(feature, threshold, children, bounds, depths), counts, present
+
+
+#: Most rows of popped nodes one vectorized pass scores; a pass holds
+#: about a kilobyte per row.
+_MAX_ROWS = 1 << 14
+
+
+def _lockstep(
+    X, samples, codes, n_classes, seeds, n_candidates, max_depth,
+    min_samples_split, min_samples_leaf,
+):
+    """Grow trees whose samples hold ``n_classes`` classes each.
+
+    Each step pops the next pending node of every tree with one pending,
+    from a per-tree stack that pops a left child before its right
+    sibling: every tree takes its nodes, and its ``rng.choice`` feature
+    draws, in the depth-first preorder a recursive build would.  Trees
+    that draw no features (``n_candidates`` covers them all) give up all
+    their pending nodes at each step instead.  The popped nodes are
+    scored together (:func:`_best_splits`), in runs of at most
+    ``_MAX_ROWS`` rows.  A child is pushed only if it can split: leaves
+    are final on creation.
+
+    Returns per-node arrays ``(tree, id, depth, counts)`` (a node's id
+    counts its tree's nodes in creation order) and per-split arrays
+    ``(tree, id, feature, threshold, left child id)``; the right child's
+    id is the left's plus one.
+    """
+    n_trees, n = samples.shape
+    d = X.shape[1]
+    k = min(n_candidates, d)
+    limit = sys.getrecursionlimit()
+    # Tree t's rows are columns t*n .. t*n + n - 1 of XT, in sample order.
+    XT = np.take(np.ascontiguousarray(X.T), samples.ravel(), axis=1)
+    y = codes.ravel()
+    onehot = np.eye(n_classes)[y]
+    order = presort(XT.reshape(d, n_trees, n))
+    order += np.arange(0, n_trees * n, n)[:, None]
+    side = np.zeros(n_trees * n, dtype=bool)
+    counts = np.bincount(
+        (np.arange(n_trees)[:, None] * n_classes + codes).ravel(),
+        minlength=n_trees * n_classes,
+    ).reshape(n_trees, n_classes).astype(float)
+    zeros = np.zeros(n_trees, dtype=np.intp)
+    nodes = [(np.arange(n_trees), zeros, zeros, counts)]
+    splits = [(zeros[:0],) * 5]
+    next_id = np.ones(n_trees, dtype=np.intp)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    roots = _can_split(
+        counts, n, 0, max_depth, min_samples_split
+    ) & (d > 0)
+    stacks = [[(order[:, t], counts[t], 0, 0)] if ok else []
+              for t, ok in enumerate(roots.tolist())]
+    live = list(range(n_trees))
+    popped = []  # (tree, node, candidate features), not yet scored
+    while True:
+        if not popped:
+            live = [t for t in live if stacks[t]]
+            if not live:
+                break
+            if k < d:  # one node per tree, whose draw comes next in preorder
+                owner = live
+                feats = [rngs[t].choice(d, k, replace=False) for t in live]
+            else:  # no draws, so the order of a tree's nodes changes nothing
+                owner = [t for t in live for _ in stacks[t]]
+                feats = [np.arange(d)] * len(owner)
+            popped = [(t, stacks[t].pop(), f) for t, f in zip(owner, feats)]
+        # Score the popped nodes in runs of at most _MAX_ROWS rows (or
+        # one node), which bounds the memory a pass takes.
+        sizes = np.array([node[0].shape[1] for _, node, _ in popped])
+        P = max(1, int(np.searchsorted(np.cumsum(sizes), _MAX_ROWS, "right")))
+        owner, batch, feats = zip(*popped[:P])
+        del popped[:P]
+        blocks, node_counts, depth, ids = zip(*batch)
+        feats = np.array(feats)
+        sizes = sizes[:P]
+        block = np.concatenate(blocks, axis=1)
+        seg = np.repeat(np.arange(P), sizes)  # each column's node
+        split, feature, threshold = _best_splits(
+            XT, onehot, block, sizes, seg, np.array(node_counts), feats,
+            min_samples_leaf,
+        )
+        if not split.size:
+            continue
+        # Children hold the rows the threshold sends each way, which is
+        # not the cut when the midpoint rounds onto the upper value.
+        # Every row of a node that does not split goes left, unused.
+        rows = block[0]
+        goes_left = XT[feature[seg], rows] <= threshold[seg]
+        side[rows] = goes_left
+        mask = side[block]
+        lefts = block[mask].reshape(d, -1)
+        rights = block[~mask].reshape(d, -1)
+        n_left = np.bincount(seg[goes_left], minlength=P)
+        kid_sizes = np.column_stack((n_left, sizes - n_left))
+        begin = (np.cumsum(kid_sizes, axis=0) - kid_sizes)[split].tolist()
+        kid_sizes = kid_sizes[split]
+        child_counts = np.bincount(
+            (2 * seg + ~goes_left) * n_classes + y[rows],
+            minlength=2 * P * n_classes,
+        ).reshape(-1, 2, n_classes)[split].astype(float)
+        child_depth = np.array(depth)[split] + 1
+        if child_depth.max() >= limit:
+            raise RecursionError(
+                f"tree depth reached the recursion limit ({limit})"
+            )
+        # Two ids per split, counted on from its tree's count; ``t`` is
+        # sorted, and a tree may split several nodes in a step.
+        t = np.array(owner)[split]
+        left_id = next_id[t] + 2 * (np.arange(t.shape[0]) - np.searchsorted(t, t))
+        np.add.at(next_id, t, 2)
+        splits.append((t, np.array(ids)[split], feature[split],
+                       threshold[split], left_id))
+        nodes.append((
+            np.repeat(t, 2), (left_id[:, None] + (0, 1)).ravel(),
+            np.repeat(child_depth, 2), child_counts.reshape(-1, n_classes),
+        ))
+        can = _can_split(child_counts, kid_sizes, child_depth[:, None],
+                         max_depth, min_samples_split).tolist()
+        kid_sizes = kid_sizes.tolist()
+        # A node's children are its slices of lefts and rights.  The right
+        # one is pushed first, so the left one pops first.
+        for i, (p, cd, lid) in enumerate(zip(
+            split.tolist(), child_depth.tolist(), left_id.tolist()
+        )):
+            for j, kids in ((1, rights), (0, lefts)):
+                if can[i][j]:
+                    b = begin[i][j]
+                    stacks[owner[p]].append((
+                        kids[:, b:b + kid_sizes[i][j]], child_counts[i, j],
+                        cd, lid + j,
+                    ))
+    return (
+        tuple(np.concatenate(a) for a in zip(*nodes)),
+        tuple(np.concatenate(a) for a in zip(*splits)),
+    )
+
+
+def _best_splits(XT, onehot, block, sizes, seg, counts, feats, min_samples_leaf):
+    """Each node's best Gini cut, scored over its own rows only.
+
+    ``block`` holds the nodes' presorted blocks side by side, node ``p``
+    in the ``sizes[p]`` columns where ``seg`` is ``p``; ``counts`` are
+    the nodes' class counts and ``feats`` their candidate features in
+    draw order, which sets the tie-break between equally good features.
+    Cut ``c`` of a node puts its first ``c + 1`` sorted rows on the left.
+    Every term is computed from the same operands as a per-node search
+    (DESIGN §17), so every gain is bit for bit the same.
+
+    Returns the nodes that split (best gain positive) and every node's
+    feature and threshold: ``(0, inf)`` for a node that does not split.
+    """
+    M = block.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    F = feats.T[:, seg]
+    cand = block[F, np.arange(M)]  # (candidates, M): presorted rows
+    values = XT[F, cand]
+    # Class counts left of each cut, class axis last: the running sum
+    # restarts at each node's first row, so it is the node's own.
+    left = onehot[cand]
+    left[:, starts[1:]] -= counts[:-1]
+    np.cumsum(left, axis=1, out=left)
+    nl = np.arange(1.0, M + 1) - starts[seg]
+    n = sizes[seg].astype(float)
+    nr = n - nl  # 0 at each node's last row: no cut there
+    p = counts / counts.sum(axis=1, keepdims=True)
+    parent_gini = 1.0 - (p * p).sum(axis=1)
+    right = counts[seg] - left
+    right /= np.maximum(nr, 1.0)[:, None]
+    left /= nl[:, None]
+    gini_l = 1.0 - np.square(left, out=left).sum(axis=2)
+    gini_r = 1.0 - np.square(right, out=right).sum(axis=2)
+    gains = parent_gini[seg] - (nl * gini_l + nr * gini_r) / n
+    # Only cuts between distinct values, with at least min_samples_leaf
+    # rows (and at least one) on each side.
+    gains[:, np.minimum(nl, nr) < max(min_samples_leaf, 1)] = -np.inf
+    gains[:, :-1][values[:, 1:] == values[:, :-1]] = -np.inf
+    # Each node's first maximum in (feature, cut) order, as best_cut
+    # picks it: the smallest key f * M + column among the maxima.
+    best = np.maximum.reduceat(gains.max(axis=0), starts)
+    key = np.where(
+        gains == best[seg],
+        np.arange(0, gains.size, M).reshape(-1, 1) + np.arange(M),
+        gains.size,
+    )
+    f, col = np.divmod(np.minimum.reduceat(key.min(axis=0), starts), M)
+    split = np.flatnonzero(best > 0.0)
+    f, col = f[split], col[split]
+    feature = np.zeros(sizes.shape[0], dtype=np.intp)
+    threshold = np.full(sizes.shape[0], np.inf)
+    feature[split] = feats[split, f]
+    threshold[split] = 0.5 * (values[f, col] + values[f, col + 1])
+    return split, feature, threshold
+
+
+def _can_split(counts, size, depth, max_depth, min_samples_split):
+    """Whether nodes with these class counts, sizes and depths may split."""
+    ok = (size >= min_samples_split) & (np.count_nonzero(counts, axis=-1) > 1)
+    if max_depth is not None:
+        ok &= depth < max_depth
+    return ok
+
+
+def leaf_proba(counts: np.ndarray) -> np.ndarray:
+    """Each node's class distribution.
+
+    A threshold that rounds onto the upper of two adjacent values sends
+    every row left, so a node can be empty: its distribution is its
+    (zero) counts.
+    """
+    totals = counts.sum(axis=1)[:, None]
+    return np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
 
 
 class DecisionTreeClassifier(BaseEstimator):
@@ -183,91 +502,62 @@ class DecisionTreeClassifier(BaseEstimator):
         self.seed = seed
 
     def _n_candidate_features(self, n_features: int) -> int:
-        mf = self.max_features
-        if mf is None:
-            return n_features
-        if mf == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if mf == "log2":
-            return max(1, int(np.log2(n_features)))
-        return max(1, min(int(mf), n_features))
+        return n_candidate_features(self.max_features, n_features)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
+        k = self._n_candidate_features(X.shape[1])
         classes, encoded = encode_labels(y)
-        return self._grow(X, encoded, classes)
+        flat, counts, _ = grow(
+            X, np.arange(X.shape[0])[None], encoded[None], classes.shape[0],
+            [self.seed], k, self.max_depth, self.min_samples_split,
+            self.min_samples_leaf,
+        )
+        return self._set_fitted(
+            flat, counts, leaf_proba(counts), classes,
+            np.arange(classes.shape[0]), X.shape[1], k,
+        )
 
-    def _grow(
-        self, X: np.ndarray, encoded: np.ndarray, classes: np.ndarray
+    def _set_fitted(
+        self, flat, counts, proba, classes, cols, n_features, k
     ) -> "DecisionTreeClassifier":
-        """Fit on validated ``X`` and labels encoded as ``classes`` indices."""
+        """Adopt one fitted tree: ``flat`` holds it alone, its nodes'
+        ``counts``/``proba`` (which may be shared with other trees) hold
+        its ``classes`` in columns ``cols``."""
+        self.__dict__.pop("root_", None)  # built from the previous fit
+        self._flat = flat
+        self._counts = counts
+        self._proba = proba
+        self._cols = cols
         self.classes_ = classes
-        self._rng = np.random.default_rng(self.seed)
-        self.n_features_ = X.shape[1]
-        self._k = self._n_candidate_features(self.n_features_)
-        self._XT = np.ascontiguousarray(X.T)
-        self._onehot = np.eye(classes.shape[0])[encoded]
-        self._y = encoded
-        self.root_ = self._build(
-            np.arange(X.shape[0]), presort(self._XT), depth=0
-        )
-        del self._XT, self._y, self._onehot
-        self._flat = FlatTree(self.root_)
-        counts = np.array([node.counts for node in self._flat.nodes])
-        totals = counts.sum(axis=1)[:, None]
-        # A threshold that rounds onto the upper of two adjacent values
-        # sends every row left, so a node can be empty: its distribution
-        # is its (zero) counts.
-        self._proba = np.divide(
-            counts, totals, out=np.zeros_like(counts), where=totals > 0
-        )
+        self.n_features_ = n_features
+        self._k = k
         return self
 
-    def _build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> _Node:
-        n_classes = self.classes_.shape[0]
-        counts = np.bincount(self._y[rows], minlength=n_classes).astype(float)
-        node = _Node(counts=counts)
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or rows.shape[0] < self.min_samples_split
-            or np.count_nonzero(counts) <= 1
-        ):
-            return node
-        if self._k < self.n_features_:
-            # Candidates in draw order, which sets the tie-break between
-            # equally good features.
-            feats = self._rng.choice(self.n_features_, self._k, replace=False)
-            order_k = order[feats]
-        else:
-            feats = np.arange(self.n_features_)
-            order_k = order
-        values = self._XT[feats[:, None], order_k]
-        cut = _best_split(
-            values, self._onehot[order_k], counts, self.min_samples_leaf
-        )
-        if cut is None:
-            return node
-        f, c = cut
-        node.feature = int(feats[f])
-        node.threshold = float(0.5 * (values[f, c] + values[f, c + 1]))
-        left, right = split_block(
-            rows, order, self._XT[node.feature] <= node.threshold
-        )
-        node.left = self._build(*left, depth + 1)
-        node.right = self._build(*right, depth + 1)
-        return node
-
-    def _leaf_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._proba[self._flat.leaves(X)]
+    @cached_property
+    def root_(self) -> _Node:
+        """The fitted tree as linked nodes, built on first use."""
+        flat = self._flat
+        start, stop = flat.bounds.tolist()
+        counts = self._counts[start:stop][:, self._cols]
+        nodes = [_Node(counts=c) for c in counts]
+        for i in range(start, stop):
+            right, left = flat.children[2 * i:2 * i + 2].tolist()
+            if right != i:
+                node = nodes[i - start]
+                node.feature = int(flat.feature[i])
+                node.threshold = float(flat.threshold[i])
+                node.left, node.right = nodes[left - start], nodes[right - start]
+        return nodes[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("root_")
+        self._require_fitted("_flat")
         X = check_array(X)
         if X.shape[1] != self.n_features_:
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.shape[1]}"
             )
-        return self._leaf_proba(X)
+        return self._proba[self._flat.leaves(X)[0][:, None], self._cols]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -275,9 +565,10 @@ class DecisionTreeClassifier(BaseEstimator):
 
     def depth(self) -> int:
         """Realised depth of the fitted tree."""
-        self._require_fitted("root_")
+        self._require_fitted("_flat")
         return self._flat.depth
 
     def n_leaves(self) -> int:
-        self._require_fitted("root_")
-        return sum(node.is_leaf for node in self._flat.nodes)
+        self._require_fitted("_flat")
+        nodes = np.arange(*self._flat.bounds.tolist())
+        return int(np.count_nonzero(self._flat.children[2 * nodes] == nodes))

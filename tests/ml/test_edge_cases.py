@@ -25,6 +25,14 @@ class TestTreeOptions:
         assert DecisionTreeClassifier(max_features=5).fit(X, y)._k == 5
         assert DecisionTreeClassifier(max_features=99).fit(X, y)._k == 8
 
+    @pytest.mark.parametrize("model", [DecisionTreeClassifier, RandomForestClassifier])
+    @pytest.mark.parametrize("max_features", [0.5, 0, -3, True, "auto"])
+    def test_invalid_max_features_rejected(self, model, max_features):
+        est = model(max_features=max_features)
+        with pytest.raises(ValueError, match="None, 'sqrt', 'log2' or an int >= 1"):
+            est.fit(np.eye(4), [0, 1, 0, 1])
+        assert not hasattr(est, "classes_")
+
     def test_constant_features_yield_stump(self, rng):
         X = np.ones((20, 3))
         y = np.array([0, 1] * 10)

@@ -15,7 +15,12 @@ constant columns and duplicate rows.  One more column kind holds values
 one ulp apart, where a midpoint threshold can round onto the upper
 value, send every row left and leave an empty child.  Such a split
 repeats at the full child, so every drawn ``max_depth`` is finite: with
-``max_depth=None`` both searches recurse until ``RecursionError``.
+``max_depth=None`` the recursive search recursed until
+``RecursionError``, and the lockstep CART grower raises it once a node's
+depth reaches the recursion limit (pinned by
+``test_unbounded_depth_on_a_rounding_midpoint_raises``).  Hypothesis
+draws 1-8 trees per forest; a fixed-seed test puts the paper's 100
+trees of mixed depths and class counts through one lockstep fit.
 """
 
 from __future__ import annotations
@@ -312,15 +317,22 @@ def test_random_forest_trees_match_per_feature_search(
         bootstrap=bootstrap,
         seed=seed,
     ).fit(X, y)
-    rng = np.random.default_rng(seed)
+    _assert_forest_matches_oracle(rf, X, y, X_fresh)
+
+
+def _assert_forest_matches_oracle(rf, X, y, X_fresh):
+    """Every tree of ``rf`` equals the oracle's on its own bootstrap
+    sample, and ``predict_proba`` equals the oracle trees' average, summed
+    in tree order."""
+    rng = np.random.default_rng(rf.seed)
     n = X.shape[0]
     proba = np.zeros((X_fresh.shape[0], rf.classes_.shape[0]))
     for fitted in rf.trees_:
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n) if rf.bootstrap else np.arange(n)
         tree_seed = int(rng.integers(0, 2**31 - 1))
         classes, oracle = _oracle_cart(
-            X[idx], y[idx], max_depth, min_samples_leaf, max_features,
-            tree_seed,
+            X[idx], y[idx], rf.max_depth, rf.min_samples_leaf,
+            rf.max_features, tree_seed,
         )
         np.testing.assert_array_equal(fitted.classes_, classes)
         assert _cart_tuple(fitted.root_) == oracle
@@ -393,6 +405,53 @@ def test_many_classes_reduce_like_a_per_feature_sort(seed):
     tree = DecisionTreeClassifier(seed=1).fit(X, y)
     _, oracle = _oracle_cart(X, y, None, 1, None, 1)
     assert _cart_tuple(tree.root_) == oracle
+
+
+@pytest.mark.parametrize("seed", [0, 66])
+def test_paper_sized_forest_matches_per_feature_search(seed):
+    """The paper's RF (100 trees, depth 6) on 40 tie-heavy rows whose
+    labels partly follow two columns, with noise over ten classes, so
+    bootstraps drop classes: one fit grows trees of several depths and
+    class counts (eight and more, where the per-class Gini sum groups
+    its terms) side by side, and each must still equal the oracle's tree
+    on its own sample.  At these seeds a grower that put all trees in one
+    batch, padding the class axis to the widest tree's, changes a tree."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 4, (40, 3)).astype(float),
+        np.round(rng.standard_normal((40, 3)), 1),
+    ])
+    X[32:] = X[rng.integers(0, 32, 8)]
+    y = (X[:, 0] + 4 * (X[:, 1] > 1)).astype(int)
+    noise = rng.random(40) < 0.15
+    y[noise] = rng.integers(0, 10, noise.sum())
+    X_fresh = np.vstack([
+        np.column_stack([
+            rng.integers(0, 4, (16, 3)).astype(float),
+            np.round(rng.standard_normal((16, 3)), 1),
+        ]),
+        X[:8],
+    ])
+    rf = RandomForestClassifier(n_estimators=100, max_depth=6, seed=seed)
+    rf.fit(X, y)
+    widths = {t.classes_.shape[0] for t in rf.trees_}
+    assert len(widths) >= 3 and max(widths) >= 8
+    assert len({t.depth() for t in rf.trees_}) >= 3
+    _assert_forest_matches_oracle(rf, X, y, X_fresh)
+
+
+@pytest.mark.parametrize("model", [
+    DecisionTreeClassifier(),
+    RandomForestClassifier(n_estimators=3, max_depth=None, bootstrap=False),
+], ids=["DT", "RF"])
+def test_unbounded_depth_on_a_rounding_midpoint_raises(model):
+    """``max_depth=None`` on two values one ulp apart: their midpoint
+    rounds onto the upper one, every row goes left and the full child
+    repeats the split without end.  The grower stops at the recursion
+    limit with ``RecursionError``, as the recursive search did."""
+    u = np.spacing(1.0)
+    with pytest.raises(RecursionError):
+        model.fit([[1 + u], [1 + 2 * u]], [0, 1])
 
 
 def test_zero_features_grow_single_leaves():

@@ -519,9 +519,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Tier worker: attach read-only to the shared mmap store
             # instead of loading (and re-validating) the .npz — the
             # front-end shadow-validated this version once for everyone.
-            from repro.serving import StoreModelHost
+            from repro.serving import ModelHost, ModelStore, StoreLoader
 
-            host = StoreModelHost(args.worker_store)
+            host = ModelHost(StoreLoader(ModelStore(args.worker_store)))
             print(
                 f"repro serve: worker {args.worker_id or '?'} attached to "
                 f"model store {args.worker_store}",

@@ -137,6 +137,7 @@ class GradientBoostingClassifier(BaseEstimator):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
         X, y = check_X_y(X, y)
         self.classes_, encoded = encode_labels(y)
+        self.n_features_ = X.shape[1]
         n = X.shape[0]
         k = self.classes_.shape[0]
         rng = np.random.default_rng(self.seed)
@@ -173,6 +174,10 @@ class GradientBoostingClassifier(BaseEstimator):
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted("trees_")
         X = check_array(X)
+        if X.shape[1] != self.n_features_:
+            raise ValueError(
+                f"expected {self.n_features_} features, got {X.shape[1]}"
+            )
         # Every tree's shrunken leaf weights, (rounds × classes × rows).
         F = self._weight[self._flat.leaves(X)]
         F = F.reshape(len(self.trees_), -1, X.shape[0])

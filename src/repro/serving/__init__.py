@@ -16,9 +16,9 @@ burst overload, model faults, and model rollover:
   shed-oldest load shedding.
 - :mod:`repro.serving.breaker` — circuit breaker around model inference
   (closed → open → half-open probes).
-- :mod:`repro.serving.reload` — hot model reload: watch by
-  mtime/SHA-256, shadow-validate on a golden set, atomic swap,
-  quarantine of bad candidates.
+- :mod:`repro.serving.reload` — hot model reload: one host over a file
+  or model-store loader; watch by mtime/SHA-256, shadow-validate on a
+  golden set, atomic swap, quarantine of bad candidates.
 - :mod:`repro.serving.server` — the ``repro serve`` loop
   (stdin/stdout JSONL and Unix-socket transports) wiring it together.
 - :mod:`repro.serving.drill` — the deterministic chaos drill shared by
@@ -55,7 +55,7 @@ from repro.serving.drill import (
 )
 from repro.serving.frontend import ServingTier, TierConfig, TierError
 from repro.serving.gateway import GatewayLimits, IngestError, IngestionGateway
-from repro.serving.modelstore import ModelStore, ModelStoreError, StoreModelHost
+from repro.serving.modelstore import ModelStore, ModelStoreError, StoreLoader
 from repro.serving.protocol import (
     Request,
     RequestParseError,
@@ -68,6 +68,7 @@ from repro.serving.protocol import (
     parse_request_line,
 )
 from repro.serving.reload import (
+    FileLoader,
     ModelHost,
     ModelVersion,
     RELOAD_QUARANTINED,
@@ -84,7 +85,7 @@ __all__ = [
     "ModelStore",
     "ModelStoreError",
     "ServingTier",
-    "StoreModelHost",
+    "StoreLoader",
     "TierConfig",
     "TierError",
     "stable_hash",
@@ -97,6 +98,7 @@ __all__ = [
     "HALF_OPEN",
     "IngestError",
     "IngestionGateway",
+    "FileLoader",
     "ModelHost",
     "ModelVersion",
     "OPEN",

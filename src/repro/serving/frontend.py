@@ -88,7 +88,7 @@ from repro.serving.protocol import (
     parse_request_line,
     too_large_response,
 )
-from repro.serving.reload import RELOAD_SWAPPED, ModelHost
+from repro.serving.reload import RELOAD_SWAPPED, FileLoader, ModelHost
 from repro.serving.routing import HashRing
 
 #: Ops the front-end answers itself (everything else is routed).
@@ -290,7 +290,7 @@ class ServingTier:
         self._stream_limit = max(1, config.max_request_bytes)
         # The tier's single shadow validator: only what this host swaps
         # in is ever published to the store the workers attach to.
-        self.host = ModelHost(config.model_path)
+        self.host = ModelHost(FileLoader(config.model_path))
         if self.host.active.selector is not None:
             self.store.publish(
                 self.host.active.selector, self.host.active.sha256

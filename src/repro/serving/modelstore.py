@@ -22,9 +22,8 @@ splits publication from attachment:
   asserts, along with the absence of any load-time telemetry span on
   the attach path.
 
-:class:`StoreModelHost` adapts the store to the
-:class:`~repro.serving.reload.ModelHost` surface the request loop uses
-(``active`` / ``check_reload()`` / ``snapshot()``), so
+A worker runs the same :class:`~repro.serving.reload.ModelHost` as the
+single-process server, over a :class:`StoreLoader` instead of a file, so
 :class:`~repro.serving.server.SelectorServer` runs unchanged inside a
 worker.
 """
@@ -36,19 +35,13 @@ import json
 import os
 import shutil
 import tempfile
-import time
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.deploy import FrozenSelector
 from repro.obs import TELEMETRY
-from repro.serving.reload import (
-    ModelVersion,
-    RELOAD_QUARANTINED,
-    RELOAD_SWAPPED,
-    RELOAD_UNCHANGED,
-)
+from repro.serving.reload import ValidationFailure, stat_fingerprint
 
 _MANIFEST = "manifest.json"
 _CURRENT = "CURRENT"
@@ -260,11 +253,7 @@ class ModelStore:
 
     def current_stat(self) -> tuple[int, int] | None:
         """(mtime_ns, size) of the pointer file — the cheap watch probe."""
-        try:
-            st = os.stat(self.current_path)
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size)
+        return stat_fingerprint(self.current_path)
 
     def attach(self, sha: str) -> FrozenSelector:
         """Map ``versions/<sha>`` read-only into this process.
@@ -351,147 +340,40 @@ class ModelStore:
         return selector
 
 
-class StoreModelHost:
-    """Worker-side model host reading versions from a :class:`ModelStore`.
+class StoreLoader:
+    """:class:`~repro.serving.reload.ModelHost` loader over a store.
 
-    Mirrors the :class:`~repro.serving.reload.ModelHost` surface that
-    :class:`~repro.serving.server.SelectorServer` consumes, but the
-    watch target is the store's CURRENT pointer, the "load" is an mmap
-    attach, and there is no validation pass — the front-end
-    shadow-validates once for the whole tier before it flips the
-    pointer (DESIGN §14).
+    The watch target is the store's CURRENT pointer, read once per
+    check; the "load" is an mmap :meth:`ModelStore.attach` whose only
+    check is per-array integrity — the front-end shadow-validated the
+    version once for the whole tier before it flipped the pointer
+    (DESIGN §14).  After a failed attach the journal offers older
+    published versions to bridge to.
     """
 
-    def __init__(
-        self,
-        store: ModelStore | str,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.store = store if isinstance(store, ModelStore) else ModelStore(store)
-        self.path = self.store.root
-        self.clock = clock
-        self.n_reloads = 0
-        #: Attach failures — store corruption, not model badness, but the
-        #: snapshot keys stay aligned with ModelHost's so tier health
-        #: aggregation reads both kinds of worker identically.
-        self.n_quarantined = 0
-        #: Times a corrupt CURRENT was bridged by re-attaching the
-        #: previous published version instead of serving degraded.
-        self.n_fallbacks = 0
-        self._seen_stat = self.store.current_stat()
-        self.active = self._attach_current()
+    def __init__(self, store: ModelStore) -> None:
+        self.store = store
+        self.path = store.root
+        self.missing = f"model store {store.root!r} has no published model"
 
-    def _attach_current(self) -> ModelVersion:
+    def fingerprint(self) -> tuple[int, int] | None:
+        return self.store.current_stat()
+
+    def read(self) -> tuple[str, str] | None:
         sha = self.store.current_sha()
-        if sha is None:
-            return ModelVersion(
-                selector=None,
-                sha256=None,
-                stat=None,
-                loaded_at=self.clock(),
-                error=f"model store {self.store.root!r} has no published "
-                      f"model",
-            )
+        return None if sha is None else (sha, sha)
+
+    def load(self, sha: str) -> FrozenSelector:
         try:
-            selector = self.store.attach(sha)
+            return self.store.attach(sha)
         except ModelStoreError as exc:
-            self.n_quarantined += 1
-            TELEMETRY.inc("serving.store.attach_failed")
-            fallback = self._attach_previous(sha)
-            if fallback is not None:
-                return fallback
-            return ModelVersion(
-                selector=None,
-                sha256=sha,
-                stat=self._seen_stat,
-                loaded_at=self.clock(),
-                error=str(exc),
-            )
-        return ModelVersion(
-            selector=selector,
-            sha256=sha,
-            stat=self._seen_stat,
-            loaded_at=self.clock(),
-            scale=selector.centroid_scale(),
-        )
+            raise ValidationFailure(str(exc)) from exc
 
-    def _attach_previous(self, bad_sha: str) -> ModelVersion | None:
-        """Walk the publish journal backwards past a corrupt CURRENT.
-
-        A version that fails its integrity check is quarantined in
-        place; rather than serve degraded (fallback-format answers), the
-        worker attaches the newest *older* published version that still
-        verifies — the model every worker was serving before the bad
-        flip.  Returns ``None`` when no earlier version survives.
-        """
+    def history(self, stop: str | None) -> Iterator[tuple[str, str]]:
         for sha in reversed(self.store.publish_order()):
-            if sha == bad_sha:
-                continue
-            try:
-                selector = self.store.attach(sha)
-            except ModelStoreError:
-                continue
-            self.n_fallbacks += 1
-            TELEMETRY.inc("serving.store.fallback")
-            return ModelVersion(
-                selector=selector,
-                sha256=sha,
-                stat=self._seen_stat,
-                loaded_at=self.clock(),
-                scale=selector.centroid_scale(),
-            )
-        return None
-
-    def check_reload(self) -> str:
-        """Stat the CURRENT pointer; re-attach when it moved.
-
-        One ``stat`` in the steady state — the same watch cost as the
-        single-process host — and never unpublishes a working model: a
-        torn or vanished pointer leaves the old attachment serving.
-        """
-        stat = self.store.current_stat()
-        if stat is None or stat == self._seen_stat:
-            return RELOAD_UNCHANGED
-        self._seen_stat = stat
-        sha = self.store.current_sha()
-        if sha is None or sha == self.active.sha256:
-            return RELOAD_UNCHANGED
-        candidate = self._attach_current()
-        if candidate.selector is None:
-            return RELOAD_QUARANTINED
-        if candidate.sha256 != sha:
-            # The flipped-to version failed integrity and the journal
-            # fallback bridged to an older one: that is a quarantine,
-            # not a swap.  Adopt the fallback only if it differs from
-            # what is already serving.
-            if candidate.sha256 != self.active.sha256:
-                self.active = candidate
-            return RELOAD_QUARANTINED
-        self.active = candidate
-        self.n_reloads += 1
-        TELEMETRY.inc("serving.reload.swapped")
-        return RELOAD_SWAPPED
-
-    @property
-    def degraded(self) -> bool:
-        return self.active.selector is None
-
-    def snapshot(self) -> dict:
-        active = self.active
-        return {
-            "path": self.path,
-            "sha256": active.sha256,
-            "degraded": active.selector is None,
-            "error": active.error,
-            "n_centroids": (
-                active.selector.n_centroids
-                if active.selector is not None
-                else 0
-            ),
-            "reloads": self.n_reloads,
-            "quarantined": self.n_quarantined,
-            "fallbacks": self.n_fallbacks,
-        }
+            if sha == stop:
+                return
+            yield sha, sha
 
 
-__all__ = ["ModelStore", "ModelStoreError", "StoreModelHost"]
+__all__ = ["ModelStore", "ModelStoreError", "StoreLoader"]

@@ -66,7 +66,7 @@ from repro.serving.protocol import (
     overloaded_response,
     parse_request_line,
 )
-from repro.serving.reload import ModelHost
+from repro.serving.reload import FileLoader, ModelHost
 
 
 class InferenceFault(RuntimeError):
@@ -135,11 +135,11 @@ class SelectorServer:
             probe_successes=config.breaker_probes,
             clock=clock,
         )
-        # Tier workers substitute a StoreModelHost attached to the shared
-        # mmap store; the default remains the self-validating file host.
+        # Tier workers pass a host over the shared mmap store; the
+        # default watches and shadow-validates the model file.
         self.host = (
             host if host is not None
-            else ModelHost(config.model_path, clock=clock)
+            else ModelHost(FileLoader(config.model_path))
         )
         self.counters: TallyCounter = TallyCounter()
         self.latencies: deque[float] = deque(maxlen=4096)

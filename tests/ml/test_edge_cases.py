@@ -39,10 +39,19 @@ class TestTreeOptions:
         tree = DecisionTreeClassifier().fit(X, y)
         assert tree.n_leaves() == 1
 
-    def test_feature_count_mismatch_at_predict(self, rng):
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DecisionTreeClassifier,
+            RandomForestClassifier,
+            GradientBoostingClassifier,
+        ],
+        ids=["DT", "RF", "GB"],
+    )
+    def test_feature_count_mismatch_at_predict(self, rng, model):
         X = rng.standard_normal((20, 3))
         y = (X[:, 0] > 0).astype(int)
-        tree = DecisionTreeClassifier().fit(X, y)
+        tree = model().fit(X, y)
         with pytest.raises(ValueError):
             tree.predict(rng.standard_normal((5, 4)))
 

@@ -32,6 +32,7 @@ import repro
 from repro.serving.drill import (
     _random_matrix_text,
     build_request_lines,
+    synthetic_frozen_selector,
     tier_expectations,
 )
 from repro.serving.frontend import (
@@ -245,6 +246,53 @@ def test_worker_kill_mid_burst_types_errors_and_respawns(
     assert fleet == 2, "fleet did not return to its target size"
     assert tier.n_worker_lost == lost
     assert tier.n_routed == tier.n_completed + tier.n_worker_lost
+
+
+def test_worker_keeps_serving_past_a_bitflipped_store_version(
+    model_path, tmp_path
+):
+    """A corrupt published version never answers a request in a worker.
+
+    The front-end publishes a version whose array file is bit-flipped
+    after its digest was recorded.  The worker's host quarantines it on
+    the next request and keeps answering with the model it had; its own
+    ``health`` shows the old sha, one quarantine and no fallback (the
+    old model never stopped serving, so nothing needed bridging).
+    """
+    predict = json.dumps(
+        {"id": "p", "op": "predict", "mtx": _random_matrix_text(0, 0)}
+    )
+
+    async def scenario():
+        tier, task, front = await _boot_tier(str(tmp_path), model_path, 1)
+        try:
+            old_sha = tier.store.current_sha()
+            # The worker reads CURRENT only while answering, and no
+            # request is in flight: it cannot attach before the flip.
+            vdir = tier.store.publish(
+                synthetic_frozen_selector(seed=99, n_centroids=7), "f" * 64
+            )
+            path = os.path.join(vdir, "centroids.npy")
+            with open(path, "r+b") as fh:
+                fh.seek(os.path.getsize(path) // 2)
+                fh.write(b"\xff\x00\xff\x00")
+            pairs = await drive_tier(front, [predict, predict], connections=1)
+            (health,) = await _ops(front, "health")
+        finally:
+            (await _ops(front, "shutdown"))
+            await asyncio.wait_for(task, timeout=30.0)
+        return old_sha, pairs, health
+
+    old_sha, pairs, health = asyncio.run(scenario())
+    expected = SelectorServer(ServingConfig(model_path=model_path)).handle_line(
+        predict
+    )
+    assert [response for _, response in pairs] == [expected, expected]
+    model = health["workers"]["w0"]["model"]
+    assert model["sha256"] == old_sha
+    assert model["degraded"] is False
+    assert model["quarantined"] == 1
+    assert model["fallbacks"] == 0
 
 
 def test_tier_config_worker_bounds_default_to_workers():

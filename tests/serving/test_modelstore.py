@@ -3,8 +3,9 @@
 The economic claim under test: N workers attaching the same published
 version share one set of on-disk arrays via ``np.memmap`` — no
 per-worker deserialization, no per-worker validation pass, no private
-copies.  Plus the :class:`StoreModelHost` reload state machine that
-lets a worker follow the CURRENT pointer without ever unpublishing a
+copies.  Plus the store-only parts of the reload state machine a
+worker runs over a :class:`StoreLoader` (integrity, journal fallback),
+which let it follow the CURRENT pointer without ever unpublishing a
 working model.
 """
 
@@ -20,9 +21,10 @@ from repro.serving.drill import synthetic_frozen_selector
 from repro.serving.modelstore import (
     ModelStore,
     ModelStoreError,
-    StoreModelHost,
+    StoreLoader,
 )
 from repro.serving.reload import (
+    ModelHost,
     RELOAD_QUARANTINED,
     RELOAD_SWAPPED,
     RELOAD_UNCHANGED,
@@ -141,12 +143,12 @@ def test_attach_rejects_manifest_naming_unknown_arrays(store, selector):
         store.attach("v1")
 
 
-# -- StoreModelHost reload state machine -------------------------------------
+# -- the host over a StoreLoader ---------------------------------------------
 
 
-def test_store_host_attaches_current_on_boot(store, selector, fake_clock):
+def test_store_host_attaches_current_on_boot(store, selector):
     store.publish(selector, "v1")
-    host = StoreModelHost(store, clock=fake_clock)
+    host = ModelHost(StoreLoader(store))
     assert not host.degraded
     assert host.active.sha256 == "v1"
     snap = host.snapshot()
@@ -155,15 +157,15 @@ def test_store_host_attaches_current_on_boot(store, selector, fake_clock):
     assert snap["reloads"] == 0 and snap["quarantined"] == 0
 
 
-def test_store_host_degraded_on_empty_store(store, fake_clock):
-    host = StoreModelHost(store, clock=fake_clock)
+def test_store_host_degraded_on_empty_store(store):
+    host = ModelHost(StoreLoader(store))
     assert host.degraded
     assert "no published model" in host.snapshot()["error"]
 
 
-def test_store_host_swaps_on_pointer_flip(store, fake_clock):
+def test_store_host_swaps_on_pointer_flip(store):
     store.publish(synthetic_frozen_selector(seed=3), "v1")
-    host = StoreModelHost(store, clock=fake_clock)
+    host = ModelHost(StoreLoader(store))
     assert host.check_reload() == RELOAD_UNCHANGED
     store.publish(synthetic_frozen_selector(seed=4), "v2")
     assert host.check_reload() == RELOAD_SWAPPED
@@ -171,21 +173,17 @@ def test_store_host_swaps_on_pointer_flip(store, fake_clock):
     assert host.n_reloads == 1
 
 
-def test_store_host_pointer_rewrite_same_sha_is_unchanged(
-    store, selector, fake_clock
-):
+def test_store_host_pointer_rewrite_same_sha_is_unchanged(store, selector):
     store.publish(selector, "v1")
-    host = StoreModelHost(store, clock=fake_clock)
+    host = ModelHost(StoreLoader(store))
     store.set_current("v1")  # new pointer file, same version
     assert host.check_reload() == RELOAD_UNCHANGED
     assert host.n_reloads == 0
 
 
-def test_store_host_quarantines_torn_flip_and_keeps_serving(
-    store, selector, fake_clock
-):
+def test_store_host_quarantines_torn_flip_and_keeps_serving(store, selector):
     store.publish(selector, "v1")
-    host = StoreModelHost(store, clock=fake_clock)
+    host = ModelHost(StoreLoader(store))
     store.set_current("deadbeef")  # points at a version that never landed
     assert host.check_reload() == RELOAD_QUARANTINED
     assert host.active.sha256 == "v1", "quarantine must not unpublish"
@@ -268,11 +266,11 @@ def test_attach_rejects_bitflipped_array(store, selector):
         store.attach("v1")
 
 
-def test_host_boot_falls_back_past_corrupt_current(store, fake_clock):
+def test_host_boot_falls_back_past_corrupt_current(store):
     store.publish(synthetic_frozen_selector(seed=3), "v1")
     store.publish(synthetic_frozen_selector(seed=4), "v2")
     _corrupt(os.path.join(store.version_dir("v2"), "centroids.npy"))
-    host = StoreModelHost(store, clock=fake_clock)
+    host = ModelHost(StoreLoader(store))
     # The corrupt CURRENT is quarantined; the previous published version
     # bridges the gap instead of serving degraded.
     assert not host.degraded
@@ -283,11 +281,9 @@ def test_host_boot_falls_back_past_corrupt_current(store, fake_clock):
     assert snap["quarantined"] == 1 and snap["fallbacks"] == 1
 
 
-def test_reload_quarantines_corrupt_flip_and_keeps_serving(
-    store, fake_clock
-):
+def test_reload_quarantines_corrupt_flip_and_keeps_serving(store):
     store.publish(synthetic_frozen_selector(seed=3), "v1")
-    host = StoreModelHost(store, clock=fake_clock)
+    host = ModelHost(StoreLoader(store))
     store.publish(synthetic_frozen_selector(seed=4), "v2")
     _corrupt(os.path.join(store.version_dir("v2"), "centroids.npy"))
     assert host.check_reload() == RELOAD_QUARANTINED
@@ -297,3 +293,46 @@ def test_reload_quarantines_corrupt_flip_and_keeps_serving(
     store.publish(synthetic_frozen_selector(seed=5), "v3")
     assert host.check_reload() == RELOAD_SWAPPED
     assert host.active.sha256 == "v3"
+
+
+def test_corrupt_flip_attaches_only_the_candidate(store, monkeypatch):
+    """A bad flip while v1 serves must not re-attach v1 as a "fallback".
+
+    The journal walk stops at the serving version: re-attaching it would
+    re-hash every array file and map them again for nothing, and count a
+    bridge that never happened.
+    """
+    store.publish(synthetic_frozen_selector(seed=3), "v1")
+    host = ModelHost(StoreLoader(store))
+    store.publish(synthetic_frozen_selector(seed=4), "v2")
+    _corrupt(os.path.join(store.version_dir("v2"), "centroids.npy"))
+    attached: list[str] = []
+    real_attach = store.attach
+
+    def attach(sha):
+        attached.append(sha)
+        return real_attach(sha)
+
+    monkeypatch.setattr(store, "attach", attach)
+    assert host.check_reload() == RELOAD_QUARANTINED
+    assert attached == ["v2"]
+    assert host.active.sha256 == "v1" and not host.degraded
+    assert host.n_quarantined == 1
+    assert host.snapshot()["fallbacks"] == 0
+
+
+def test_one_check_reads_current_once(store, monkeypatch):
+    """The sha a check reads is the sha it attaches, judges and counts.
+
+    CURRENT moves from v2 to v3 during the check; a second read would
+    attach v3 while judging v2, adopting v3 as an uncounted quarantine.
+    """
+    store.publish(synthetic_frozen_selector(seed=3), "v1")
+    host = ModelHost(StoreLoader(store))
+    store.publish(synthetic_frozen_selector(seed=4), "v2")
+    store.publish(synthetic_frozen_selector(seed=5), "v3")
+    reads = iter(["v2", "v3"])
+    monkeypatch.setattr(store, "current_sha", lambda: next(reads))
+    assert host.check_reload() == RELOAD_SWAPPED
+    assert host.active.sha256 == "v2"
+    assert host.n_reloads == 1 and host.n_quarantined == 0

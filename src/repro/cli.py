@@ -719,6 +719,8 @@ def _run_chaos_tier_drill(args: argparse.Namespace, spec) -> int:
             pairs, expectations, n_requests=len(lines)
         )
         report.swap_events = events
+        # The tier-wide p99 of serving.latency_seconds, merged over workers.
+        report.p99_latency_ms = metrics.get("quantiles_ms", {}).get("p99")
         print(
             f"serve chaos (tier): {args.requests} requests over "
             f"{args.burst} connections, {args.workers} workers, "

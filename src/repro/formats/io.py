@@ -21,8 +21,10 @@ behaviour (duplicates summed, non-finite values kept).
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import mmap
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
@@ -38,6 +40,22 @@ _SUPPORTED_SYMMETRY = {"general", "symmetric", "skew-symmetric"}
 
 #: Default number of stored entries per streamed COO block.
 DEFAULT_CHUNK_NNZ = 65536
+
+#: Entry lines taken at once; a batch that certifies is converted in
+#: one go (see :func:`_convert_batch`), any other line by line.
+_BATCH_LINES = 8192
+
+#: The bytes a field of a certified batch may hold.
+_FIELD_BYTES = b"0123456789+-.eE"
+
+#: Certified indices stay below 10**18, where int64 parsing is exact.
+_MAX_INDEX = 10**18 - 1
+
+#: A line's last character ("" for an empty line).
+_LAST_CHAR = operator.itemgetter(slice(-1, None))
+
+#: Bytes of a mapped file decoded at once (cut after a newline).
+_MMAP_SLICE = 1 << 18
 
 
 class MatrixMarketError(FormatError):
@@ -116,7 +134,7 @@ def read_matrix_market(
 
     Implemented on top of :func:`read_matrix_market_streaming`, so the
     in-memory and streaming readers cannot drift: both run the same
-    per-line validation in the same order.
+    validation in the same order.
     """
     stream = read_matrix_market_streaming(source, policy)
     header = next(stream)
@@ -150,9 +168,9 @@ def read_matrix_market_streaming(
     reader hold: allocation is driven by actual file content (never the
     declared nnz), errors carry the same machine-readable codes, and —
     with ``duplicates="reject"`` — the same duplicate coordinate is
-    reported.  Because the check order matches the in-memory reader,
-    blocks may have been yielded before an error is raised; a raised
-    error invalidates every block yielded so far.
+    reported.  Entry lines are converted a batch at a time, so blocks
+    may have been yielded before an error is raised; a raised error
+    invalidates every block yielded so far.
 
     For on-disk paths the file is read through ``mmap`` when possible
     (``use_mmap=True``, the default), falling back to buffered text I/O
@@ -307,13 +325,28 @@ def _stream_path(
 
 
 def _mmap_lines(mm: mmap.mmap) -> Iterator[str]:
-    """Lines (with trailing newline, latin-1 decoded) from a CR-free mmap."""
+    """Lines (with trailing newline, latin-1 decoded) from a CR-free mmap.
+
+    The map is decoded a slice of about :data:`_MMAP_SLICE` bytes at a
+    time, each cut after a newline and split on ``"\\n"`` alone
+    (``str.splitlines`` would also break at ``\\x0b``, ``\\x0c``,
+    ``\\x1c``-``\\x1e`` and ``\\x85``, which text mode does not).
+    """
+    return itertools.chain.from_iterable(_mmap_slices(mm))
+
+
+def _mmap_slices(mm: mmap.mmap) -> Iterator[list[str]]:
     pos = 0
     end = len(mm)
     while pos < end:
-        nl = mm.find(b"\n", pos)
+        nl = mm.find(b"\n", min(pos + _MMAP_SLICE, end) - 1)
         stop = end if nl < 0 else nl + 1
-        yield mm[pos:stop].decode("latin-1")
+        lines = mm[pos:stop].decode("latin-1").split("\n")
+        last = lines.pop()  # "" unless the file ends without a newline
+        lines = [line + "\n" for line in lines]
+        if last:
+            lines.append(last)
+        yield lines
         pos = stop
 
 
@@ -344,24 +377,92 @@ def _stream_lines(
     nrows, ncols, nnz = _parse_size_line(size_line, policy)
     yield MatrixMarketHeader(field, symmetry, nrows, ncols, nnz)
 
-    # Accumulate into Python lists sized by what the file actually
-    # contains — never np.empty(declared nnz), so a forged size line
-    # cannot demand a giant allocation.  Under ``duplicates="reject"``
-    # the yielded index chunks are additionally retained so the
-    # end-of-stream check can run the exact in-memory lexsort pass
-    # (reporting the identical first row-major duplicate).
+    # Entry lines arrive in batches of at most _BATCH_LINES.  A batch
+    # that certifies is converted at once; any other goes through the
+    # per-line loop, the only place that raises.  Storage is sized by
+    # what the file actually contains — never by the declared nnz, so a
+    # forged size line cannot demand a giant allocation.  Converted
+    # batches are cut into blocks of exactly chunk_nnz entries.  Under
+    # ``duplicates="reject"`` the yielded index chunks are additionally
+    # retained so the end-of-stream check can run the exact in-memory
+    # lexsort pass (reporting the identical first row-major duplicate).
+    width = 2 if field == "pattern" else 3
     reject = policy.duplicates == "reject"
     kept_rows: list[np.ndarray] = []
     kept_cols: list[np.ndarray] = []
+    pending: list[COOBlock] = []
+    pending_nnz = 0
+    count = 0
+    while batch := list(itertools.islice(lines, _BATCH_LINES)):
+        entries = None
+        if len(batch) <= nnz - count:
+            entries = _convert_batch(
+                batch, width, nrows, ncols, policy.allow_nonfinite
+            )
+        if entries is None:
+            entries = _parse_lines(
+                batch, field, nrows, ncols, nnz - count, policy
+            )
+        count += entries.rows.size
+        pending.append(entries)
+        pending_nnz += entries.rows.size
+        if pending_nnz < chunk_nnz:
+            continue
+        rows, cols, vals = _concat_blocks(pending)
+        cut = pending_nnz - pending_nnz % chunk_nnz
+        for lo in range(0, cut, chunk_nnz):
+            hi = lo + chunk_nnz
+            block = COOBlock(rows[lo:hi], cols[lo:hi], vals[lo:hi])
+            if reject:
+                kept_rows.append(block.rows)
+                kept_cols.append(block.cols)
+            yield block
+        pending = [COOBlock(rows[cut:], cols[cut:], vals[cut:])]
+        pending_nnz -= cut
+    if count != nnz:
+        raise MatrixMarketError(
+            f"declared {nnz} entries, found {count}", code="count_mismatch"
+        )
+    tail = COOBlock(*_concat_blocks(pending))
+    if reject:
+        kept_rows.append(tail.rows)
+        kept_cols.append(tail.cols)
+        _check_duplicates(
+            _concat(kept_rows, INDEX_DTYPE), _concat(kept_cols, INDEX_DTYPE)
+        )
+    if tail.rows.size:
+        yield tail
+
+
+def _concat_blocks(blocks: list[COOBlock]) -> tuple[np.ndarray, ...]:
+    return (
+        _concat([b.rows for b in blocks], INDEX_DTYPE),
+        _concat([b.cols for b in blocks], INDEX_DTYPE),
+        _concat([b.vals for b in blocks], VALUE_DTYPE),
+    )
+
+
+def _parse_lines(
+    lines: list[str],
+    field: str,
+    nrows: int,
+    ncols: int,
+    left: int,
+    policy: ReadPolicy,
+) -> COOBlock:
+    """The entries of ``lines`` parsed one line at a time.
+
+    ``left`` is how many entries the declared nnz still allows.  Every
+    malformed entry raises here, with its code and message.
+    """
     rows_list: list[int] = []
     cols_list: list[int] = []
     vals_list: list[float] = []
-    count = 0
     for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
-        if count >= nnz:
+        if len(rows_list) >= left:
             raise MatrixMarketError(
                 "more entries than declared nnz", code="count_mismatch"
             )
@@ -391,35 +492,84 @@ def _stream_lines(
         rows_list.append(r)
         cols_list.append(c)
         vals_list.append(v)
-        count += 1
-        if len(rows_list) >= chunk_nnz:
-            block = COOBlock(
-                np.array(rows_list, dtype=INDEX_DTYPE),
-                np.array(cols_list, dtype=INDEX_DTYPE),
-                np.array(vals_list, dtype=VALUE_DTYPE),
-            )
-            if reject:
-                kept_rows.append(block.rows)
-                kept_cols.append(block.cols)
-            yield block
-            rows_list, cols_list, vals_list = [], [], []
-    if count != nnz:
-        raise MatrixMarketError(
-            f"declared {nnz} entries, found {count}", code="count_mismatch"
-        )
-    tail = COOBlock(
+    return COOBlock(
         np.array(rows_list, dtype=INDEX_DTYPE),
         np.array(cols_list, dtype=INDEX_DTYPE),
         np.array(vals_list, dtype=VALUE_DTYPE),
     )
-    if reject:
-        kept_rows.append(tail.rows)
-        kept_cols.append(tail.cols)
-        _check_duplicates(
-            _concat(kept_rows, INDEX_DTYPE), _concat(kept_cols, INDEX_DTYPE)
-        )
-    if tail.rows.size:
-        yield tail
+
+
+def _convert_batch(
+    lines: list[str],
+    width: int,
+    nrows: int,
+    ncols: int,
+    allow_nonfinite: bool,
+) -> COOBlock | None:
+    """The entries of ``lines`` converted at once, or ``None``.
+
+    The batch certifies when it is ASCII; every line is ``width``
+    non-empty fields of bytes from :data:`_FIELD_BYTES` joined by single
+    spaces and ended by its only newline (the last line of a stream may
+    lack it); the index fields are digits without a leading zero; every
+    index is in range; and, unless ``allow_nonfinite``, every value is
+    finite.  The per-line loop then accepts each line with exactly these
+    entries: digit fields parse to the integers ``int`` gives, values
+    are ``float`` of the same tokens.  Anything else returns ``None``
+    and is left to that loop, errors included.
+    """
+    # Deleting the field bytes must leave the separators of n canonical
+    # lines; one token per field means no field is empty; and every line
+    # but the last must end in a newline (a caller's iterable may split
+    # lines anywhere), so each line holds one newline, at its end.  The
+    # first line is tried alone first, which keeps a failed attempt on
+    # a non-canonical body (tabs, comments) down to one line's work.
+    separators = b" " * (width - 1) + b"\n"
+    first = lines[0]
+    if not first.isascii() or (
+        first.encode("ascii").translate(None, _FIELD_BYTES) != separators
+    ):
+        return None
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    n = len(lines)
+    if data.translate(None, _FIELD_BYTES) != separators * n:
+        return None
+    tokens = data.split()
+    tails = "".join(map(_LAST_CHAR, lines))
+    if len(tokens) != n * width or tails[:-1] != "\n" * (n - 1):
+        return None
+    # Index fields: digits without a leading zero, so every index is at
+    # least 1 and, below 10**18, at most 18 digits long — exact for
+    # NumPy's C parser and within the digit limit of ``int``.
+    digits = b" ".join(tokens[0::width] + tokens[1::width])
+    if (
+        digits.translate(None, b"0123456789 ")
+        or digits.startswith(b"0")
+        or b" 0" in digits
+    ):
+        return None
+    index = np.fromstring(digits, dtype=INDEX_DTYPE, sep=" ").reshape(2, n)
+    top = index.max(axis=1)
+    if top[0] > min(nrows, _MAX_INDEX) or top[1] > min(ncols, _MAX_INDEX):
+        return None
+    if width == 2:
+        vals = np.ones(n, dtype=VALUE_DTYPE)
+    else:
+        try:
+            vals = np.fromiter(
+                map(float, tokens[2::3]), dtype=VALUE_DTYPE, count=n
+            )
+        except ValueError:
+            return None
+        if not allow_nonfinite and not np.isfinite(vals).all():
+            return None
+    index -= 1  # MatrixMarket is 1-based
+    return COOBlock(index[0], index[1], vals)
 
 
 def _check_duplicates(rows: np.ndarray, cols: np.ndarray) -> None:

@@ -269,17 +269,23 @@ class DrillReport:
     violations: list[str] = field(default_factory=list)
     swap_events: list[str] = field(default_factory=list)
     breaker_opens: int = 0
-    p99_latency_ms: float = 0.0
+    #: Measured p99 latency; ``None`` (and left out of the text) when
+    #: the drill measured none.
+    p99_latency_ms: float | None = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def to_text(self) -> str:
-        lines = [
+        summary = (
             f"serving drill: {self.n_requests} requests, "
-            f"{self.n_responses} responses, "
-            f"p99 {self.p99_latency_ms:.2f} ms",
+            f"{self.n_responses} responses"
+        )
+        if self.p99_latency_ms is not None:
+            summary += f", p99 {self.p99_latency_ms:.2f} ms"
+        lines = [
+            summary,
             "  statuses : "
             + ", ".join(
                 f"{k}={v}" for k, v in sorted(self.by_status.items())
@@ -427,8 +433,8 @@ def audit_tier_responses(
     response per line, legal status, expected invalid code), but the
     responses were gathered by a socket client
     (:func:`repro.serving.frontend.drive_tier`) instead of
-    ``submit_burst``.  Breaker/latency fields are left zero — tier-wide
-    figures come from the aggregated ``metrics`` op instead.
+    ``submit_burst``.  The breaker count is left zero and the p99 unset
+    — tier-wide figures come from the aggregated ``metrics`` op instead.
     """
     expectations = expectations or {}
     report = DrillReport(

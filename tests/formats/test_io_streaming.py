@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats import COOMatrix
+from repro.formats import io as io_mod
 from repro.formats.io import (
     MatrixMarketError,
     MatrixMarketHeader,
@@ -144,6 +145,22 @@ def test_numeric_soup_with_carriage_returns_streams_identically(body):
 # -- file-path entry point: mmap fast path vs text fallback ----------------
 
 
+def _long_text(n_entries, comment_at=None, final_newline=True):
+    """A real general body of ``n_entries`` canonical entry lines."""
+    lines = [
+        "%%MatrixMarket matrix coordinate real general",
+        f"500 500 {n_entries}",
+    ]
+    for i in range(n_entries):
+        if i == comment_at:
+            lines.append("% a comment between entries")
+        lines.append(f"{i % 500 + 1} {i * 37 % 500 + 1} {i / 7 - 900.0!r}")
+    return "\n".join(lines) + ("\n" if final_newline else "")
+
+
+#: Entry lines in the long cases: more than one batch and one mmap slice.
+LONG_ENTRIES = 12_000
+
 PATH_CASES = {
     "lf": ("%%MatrixMarket matrix coordinate real general\n"
            "2 2 2\n1 1 1.5\n2 2 2.5\n"),
@@ -157,7 +174,22 @@ PATH_CASES = {
                   "3 3 2\n2 1 1.0\n3 3 4.0\n"),
     "count_mismatch": ("%%MatrixMarket matrix coordinate real general\n"
                        "2 2 3\n1 1 1.0\n"),
+    "long": _long_text(LONG_ENTRIES),
+    # The comment ends the first batch, which the per-line loop takes.
+    "long_comment_on_batch_boundary": _long_text(
+        LONG_ENTRIES, comment_at=io_mod._BATCH_LINES - 1
+    ),
+    "long_no_trailing_newline": _long_text(LONG_ENTRIES, final_newline=False),
 }
+
+
+def test_long_path_cases_cross_batches_and_slices():
+    for case in ("long", "long_no_trailing_newline"):
+        text = PATH_CASES[case]
+        assert len(text.splitlines()) > io_mod._BATCH_LINES + 2
+        assert len(text) > io_mod._MMAP_SLICE
+    lines = PATH_CASES["long_comment_on_batch_boundary"].splitlines()
+    assert lines[2 + io_mod._BATCH_LINES - 1].startswith("%")
 
 
 @pytest.mark.parametrize("case", sorted(PATH_CASES))

@@ -193,6 +193,25 @@ def test_two_worker_tier_answers_hostile_drill_and_aggregates(
     assert tier.n_routed == tier.n_completed + tier.n_worker_lost
 
 
+def test_tier_audit_report_prints_no_unmeasured_p99():
+    """A tier audit measures no latency, so its text names no p99."""
+    from repro.serving.drill import audit_tier_responses
+
+    pairs = [
+        ('{"id": "a", "op": "predict"}', {"id": "a", "status": "ok"}),
+        ('{"id": "b", "op": "predict"}', {"id": "b", "status": "fallback"}),
+    ]
+    report = audit_tier_responses(pairs)
+    assert report.ok
+    assert report.p99_latency_ms is None
+    text = report.to_text()
+    assert "p99" not in text
+    assert text.splitlines()[0] == "serving drill: 2 requests, 2 responses"
+    # The CLI fills it from the tier's merged latency histogram.
+    report.p99_latency_ms = 3.25
+    assert report.to_text().splitlines()[0].endswith(", p99 3.25 ms")
+
+
 def test_worker_kill_mid_burst_types_errors_and_respawns(
     model_path, tmp_path
 ):

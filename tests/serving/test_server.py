@@ -286,6 +286,10 @@ def test_drill_contract_holds_under_hostile_traffic(model_path, fake_clock):
     )
     assert report.ok, report.to_text()
     assert report.n_responses == len(lines)
+    # The in-process drill measures its own p99 and prints it.
+    assert report.p99_latency_ms is not None
+    summary = report.to_text().splitlines()[0]
+    assert summary.endswith(f", p99 {report.p99_latency_ms:.2f} ms")
     assert report.swap_events == ["corrupt swap", "good swap"]
     assert server.host.n_quarantined == 1
     assert server.host.n_reloads == 1

@@ -1058,14 +1058,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _load_metrics_snapshot(path: str) -> dict:
-    """Read a registry snapshot from a metrics JSON or BENCH_*.json file."""
+    """Read a registry snapshot from a metrics JSON or a ``metrics`` answer."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    # A BENCH_obs.json wraps the snapshot under "metrics".
+    # A saved `metrics` op response wraps the snapshot under "metrics".
     if "metrics" in data and isinstance(data["metrics"], dict):
         return data["metrics"]
     return data
@@ -1087,54 +1087,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         return 2
     print(text)
     return 0 if ok else 1
-
-
-def _cmd_obs_bench(args: argparse.Namespace) -> int:
-    import os
-    import tempfile
-
-    from repro.obs.bench import run_bench, write_bench
-
-    out = args.out or "BENCH_obs.json"
-
-    def _run(model_path: str) -> int:
-        result = run_bench(
-            model_path,
-            n_requests=args.requests,
-            n_items=args.items,
-            jobs=args.jobs,
-            seed=args.seed,
-            max_batch=args.max_batch,
-            repeats=args.repeats,
-        )
-        write_bench(result, out)
-        serve = result["serve"]
-        batch = result["batch"]
-        print(
-            f"serve : {serve['n_requests']} requests  "
-            f"p50 {serve['p50_ms']:.3f} ms  p95 {serve['p95_ms']:.3f} ms  "
-            f"p99 {serve['p99_ms']:.3f} ms  {serve['rps']:.0f} req/s"
-        )
-        print(
-            f"batch : {batch['repeats']}x{batch['n_items']} items "
-            f"(jobs={batch['jobs']})  p50 {batch['p50_ms']:.3f} ms  "
-            f"p99 {batch['p99_ms']:.3f} ms  "
-            f"{batch['items_per_second']:.0f} items/s"
-        )
-        print(f"bench : written to {out}")
-        if args.slo:
-            slo_args = argparse.Namespace(slo=args.slo, metrics=out)
-            return _cmd_obs_report(slo_args)
-        return 0
-
-    if args.model:
-        return _run(args.model)
-    from repro.serving.drill import synthetic_frozen_selector
-
-    with tempfile.TemporaryDirectory(prefix="repro-obs-bench-") as tmp:
-        model_path = os.path.join(tmp, "selector.npz")
-        synthetic_frozen_selector(seed=args.seed).save(model_path)
-        return _run(model_path)
 
 
 #: Sentinel for ``--profile`` given without a PATH operand.
@@ -1500,8 +1452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("obs",
-                       help="observability tooling: SLO reports and the "
-                            "serving latency benchmark")
+                       help="observability tooling: SLO reports over a "
+                            "metrics snapshot")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
     p_report = obs_sub.add_parser(
@@ -1512,34 +1464,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="SLO rules JSON (top-level 'slos' list)")
     p_report.add_argument("--metrics", required=True, metavar="FILE",
                           help="metrics snapshot JSON (from `repro chaos "
-                               "--metrics-out` or a BENCH_obs.json)")
+                               "--metrics-out` or a saved `metrics` op "
+                               "response)")
     p_report.set_defaults(func=_cmd_obs_report)
-
-    p_bench = obs_sub.add_parser(
-        "bench",
-        help="seeded serving+batch latency benchmark; writes "
-             "BENCH_obs.json (p50/p95/p99, RPS, per-stage span costs)")
-    p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="output JSON path (default: BENCH_obs.json)")
-    p_bench.add_argument("--model", default=None, metavar="PATH",
-                         help="frozen selector .npz (default: a synthetic "
-                              "model)")
-    p_bench.add_argument("--requests", type=int, default=200, metavar="N",
-                         help="serve-path request count")
-    p_bench.add_argument("--items", type=int, default=256, metavar="N",
-                         help="batch-path items per repeat")
-    p_bench.add_argument("--jobs", type=int, default=2, metavar="N",
-                         help="worker processes for the batch path")
-    p_bench.add_argument("--repeats", type=int, default=5, metavar="N",
-                         help="batch repeats (quantiles are over repeats)")
-    p_bench.add_argument("--max-batch", type=int, default=8, metavar="N",
-                         help="serving micro-batch size")
-    p_bench.add_argument("--seed", type=int, default=0,
-                         help="workload seed")
-    p_bench.add_argument("--slo", default=None, metavar="FILE",
-                         help="also evaluate these SLO rules against the "
-                              "fresh BENCH_obs.json")
-    p_bench.set_defaults(func=_cmd_obs_bench)
 
     return parser
 

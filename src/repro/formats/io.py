@@ -82,7 +82,8 @@ class ReadPolicy:
     strict instance from its own byte/size budgets.
     """
 
-    #: Reject size lines declaring more rows or columns than this.
+    #: Reject size lines declaring more rows or columns than this.  A
+    #: dimension past the int64 index range is rejected under any limit.
     max_dim: int | None = None
     #: Reject size lines declaring more entries than this.
     max_nnz: int | None = None
@@ -269,6 +270,10 @@ def _parse_banner(header: str) -> tuple[str, str]:
     return field, symmetry
 
 
+#: The largest dimension whose indices fit :data:`INDEX_DTYPE`.
+_MAX_DIM = int(np.iinfo(INDEX_DTYPE).max)
+
+
 def _parse_size_line(size_line: str, policy: ReadPolicy) -> tuple[int, int, int]:
     try:
         nrows, ncols, nnz = (int(tok) for tok in size_line.split())
@@ -281,10 +286,12 @@ def _parse_size_line(size_line: str, policy: ReadPolicy) -> tuple[int, int, int]
             f"non-positive dimensions in size line: {size_line!r}",
             code="bad_size",
         )
-    if policy.max_dim is not None and max(nrows, ncols) > policy.max_dim:
+    # Indices are stored as INDEX_DTYPE, so a larger dimension would let
+    # an in-range index overflow the conversion whatever the policy says.
+    max_dim = _MAX_DIM if policy.max_dim is None else min(policy.max_dim, _MAX_DIM)
+    if max(nrows, ncols) > max_dim:
         raise MatrixMarketError(
-            f"declared dimensions {nrows}x{ncols} exceed limit "
-            f"{policy.max_dim}",
+            f"declared dimensions {nrows}x{ncols} exceed limit {max_dim}",
             code="too_large",
         )
     if policy.max_nnz is not None and nnz > policy.max_nnz:

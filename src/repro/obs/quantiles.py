@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-#: The quantiles surfaced by default everywhere (stats, serve, bench).
+#: The quantiles surfaced by default everywhere (stats, serve).
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
 
@@ -136,8 +136,7 @@ def summarize(
 
 
 def exact_quantile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile over raw samples (used by the bench harness,
-    which keeps every latency and does not need bucket estimation)."""
+    """Nearest-rank quantile over raw samples (no bucket estimation)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
     if not samples:

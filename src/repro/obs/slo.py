@@ -33,7 +33,7 @@ gates stay green on workloads that never exercise a subsystem, while
 production gates can insist the metric exists.
 
 Everything here is pure functions over plain dicts so the ``repro obs
-report`` CLI, the bench harness, and tests share one evaluator.
+report`` CLI and tests share one evaluator.
 """
 
 from __future__ import annotations

@@ -79,6 +79,7 @@ from repro.serving.protocol import (
     CODE_DRAINING,
     CODE_WORKER_LOST,
     REASON_WORKER_LOST,
+    LineTooLong,
     RequestParseError,
     encode_response,
     fallback_response,
@@ -97,14 +98,6 @@ TIER_OPS = ("health", "healthz", "metrics", "reload", "shutdown")
 
 class TierError(RuntimeError):
     """The tier could not be brought up (worker boot failure)."""
-
-
-class LineTooLong(ValueError):
-    """A line over the stream limit, already discarded through its newline."""
-
-    def __init__(self, n_bytes: int) -> None:
-        super().__init__(f"line of {n_bytes} bytes exceeds the stream limit")
-        self.n_bytes = n_bytes
 
 
 async def read_line(reader: asyncio.StreamReader) -> bytes:
@@ -1405,15 +1398,18 @@ async def drive_tier(
     lines: Iterable[str],
     connections: int = 8,
     actions: dict | None = None,
+    latencies: list[float] | None = None,
 ) -> list[tuple[str, dict]]:
-    """Test/bench client: fan ``lines`` over N connections, collect all.
+    """Drill and test client: fan ``lines`` over N connections, collect all.
 
     Lines are dealt round-robin; each connection pipelines its share
     sequentially (the JSONL conversational contract).  Returns
     ``(line, response)`` pairs indexed like ``lines``.  ``actions`` maps
     a tier-wide answered-count to a zero-argument callable fired once
     when that many responses have arrived — how the chaos drill kills a
-    worker or swaps the model mid-burst.
+    worker or swaps the model mid-burst.  ``latencies``, when given, is
+    extended with each request's client-observed seconds (write to
+    response line), indexed like ``lines``.
     """
     lines = list(lines)
     shares: list[list[tuple[int, str]]] = [
@@ -1422,6 +1418,7 @@ async def drive_tier(
     for i, line in enumerate(lines):
         shares[i % len(shares)].append((i, line))
     results: list[tuple[str, dict] | None] = [None] * len(lines)
+    seconds = [0.0] * len(lines)
     progress = {"answered": 0}
     fired: set[int] = set()
 
@@ -1431,11 +1428,13 @@ async def drive_tier(
         reader, writer = await asyncio.open_unix_connection(socket_path)
         try:
             for index, line in share:
+                sent = time.perf_counter()
                 writer.write((line.rstrip("\n") + "\n").encode())
                 await writer.drain()
                 raw = await reader.readline()
                 if not raw:
                     raise ConnectionError("tier closed mid-conversation")
+                seconds[index] = time.perf_counter() - sent
                 results[index] = (line, json.loads(raw))
                 progress["answered"] += 1
                 for at in sorted(actions or {}):
@@ -1446,11 +1445,12 @@ async def drive_tier(
             writer.close()
 
     await asyncio.gather(*(client(share) for share in shares))
+    if latencies is not None:
+        latencies.extend(seconds)
     return [r for r in results if r is not None]
 
 
 __all__ = [
-    "LineTooLong",
     "ServingTier",
     "TIER_OPS",
     "TierConfig",

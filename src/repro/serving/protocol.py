@@ -125,6 +125,18 @@ class RequestParseError(Exception):
         self.response = response
 
 
+class LineTooLong(ValueError):
+    """A line over the byte cap, already discarded through its newline.
+
+    ``n_bytes`` is the whole line's length, newline included: the length
+    :func:`parse_request_line` reports for the line read whole.
+    """
+
+    def __init__(self, n_bytes: int) -> None:
+        super().__init__(f"line of {n_bytes} bytes exceeds the stream limit")
+        self.n_bytes = n_bytes
+
+
 def invalid_response(
     code: str, error: str, request_id: str | None = None
 ) -> dict:

@@ -56,6 +56,7 @@ from repro.serving.protocol import (
     REASON_INTERNAL_ERROR,
     REASON_MODEL_UNUSABLE,
     REASON_OUT_OF_DISTRIBUTION,
+    LineTooLong,
     Request,
     RequestParseError,
     STATUS_INVALID,
@@ -65,6 +66,7 @@ from repro.serving.protocol import (
     ok_response,
     overloaded_response,
     parse_request_line,
+    too_large_response,
 )
 from repro.serving.reload import FileLoader, ModelHost
 
@@ -508,7 +510,7 @@ class SelectorServer:
 
     # -- burst handling (admission-controlled) ------------------------------
 
-    def submit_burst(self, lines: Iterable[str]) -> list[dict]:
+    def submit_burst(self, lines: Iterable[str | LineTooLong]) -> list[dict]:
         """Admit a burst of request lines, then drain the queue.
 
         Models what the reader thread sees when a client pipes faster
@@ -516,15 +518,19 @@ class SelectorServer:
         the bounded queue sheds its oldest on overflow, dequeued
         requests past their deadline are answered ``overloaded``, and
         the survivors are processed in arrival order.  Every line gets
-        exactly one response.
+        exactly one response; a line the transport discarded unread
+        (:class:`LineTooLong`) gets the answer it would have got whole.
         """
+        cap = self.config.max_request_bytes
         responses: list[dict] = []
         with TELEMETRY.span("serving.admission"):
             for line in lines:
                 try:
-                    request = parse_request_line(
-                        line, self.config.max_request_bytes
-                    )
+                    if isinstance(line, LineTooLong):
+                        raise RequestParseError(
+                            too_large_response(line.n_bytes, cap)
+                        )
+                    request = parse_request_line(line, cap)
                 except RequestParseError as exc:
                     responses.append(self._finish(exc.response))
                     continue
@@ -644,9 +650,28 @@ class SelectorServer:
 
     # -- transports ---------------------------------------------------------
 
+    def _read_line(self, stream) -> str | LineTooLong:
+        """``stream.readline()`` bounded by ``max_request_bytes``.
+
+        A longer line is discarded through its newline (or EOF) and comes
+        back as a :class:`LineTooLong`, which :meth:`submit_burst`
+        answers, so the conversation goes on with the next line.
+        """
+        size = max(self.config.max_request_bytes, 0) + 1
+        line = stream.readline(size)
+        if len(line) < size:
+            return line
+        n_chars = len(line)
+        while not line.endswith("\n"):
+            line = stream.readline(size)
+            if not line:
+                break
+            n_chars += len(line)
+        return LineTooLong(n_chars)
+
     def _drain_ready(
         self, stream, limit: int = 256, wait_seconds: float = 0.0
-    ) -> list[str]:
+    ) -> list[str | LineTooLong]:
         """Opportunistically batch-read lines already waiting on ``stream``.
 
         Uses ``select`` on the underlying fd; with ``wait_seconds`` 0 it
@@ -656,7 +681,7 @@ class SelectorServer:
         (StringIO) it reads nothing and the caller degrades to
         line-at-a-time processing.
         """
-        lines: list[str] = []
+        lines: list[str | LineTooLong] = []
         try:
             fd = stream.fileno()
         except (AttributeError, OSError, ValueError):
@@ -674,7 +699,7 @@ class SelectorServer:
                 break
             if not ready:
                 break
-            line = stream.readline()
+            line = self._read_line(stream)
             if not line:
                 break
             lines.append(line)
@@ -683,10 +708,10 @@ class SelectorServer:
     def serve_stream(self, instream, outstream) -> int:
         """JSONL loop: read request lines, write one response line each."""
         while not self._stop:
-            line = instream.readline()
+            line = self._read_line(instream)
             if not line:
                 break
-            if not line.strip():
+            if isinstance(line, str) and not line.strip():
                 continue
             lines = [line] + self._drain_ready(
                 instream,
@@ -714,15 +739,16 @@ class SelectorServer:
                 conn, _ = server_socket.accept()
                 with conn:
                     reader = conn.makefile("r", encoding="utf-8")
-                    for line in reader:
-                        if not line.strip():
+                    while not self._stop:
+                        line = self._read_line(reader)
+                        if not line:
+                            break
+                        if isinstance(line, str) and not line.strip():
                             continue
                         for response in self.submit_burst([line]):
                             conn.sendall(
                                 (encode_response(response) + "\n").encode()
                             )
-                        if self._stop:
-                            break
         finally:
             server_socket.close()
             if os.path.exists(socket_path):

@@ -192,6 +192,23 @@ def test_table10_matches_golden():
     assert beats == "yes"
 
 
+def test_op_aware_selector_beats_best_static_at_64_matrices():
+    """The acceptance criterion on a smaller campaign than the golden's."""
+    table = spmm.generate(
+        config=ExperimentConfig(
+            collection_size=64,
+            augment_copies=0,
+            trials=3,
+            n_folds=3,
+            nc_grid=(10,),
+        )
+    )
+    beats = table.column("Value")[
+        table.column("Quantity").index("selector beats best static")
+    ]
+    assert beats == "yes", table.format_text()
+
+
 def test_golden_metrics_are_in_range():
     """The committed golden itself stays sane (metrics in [-1, 1])."""
     if not GOLDEN_PATH.exists():

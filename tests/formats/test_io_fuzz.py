@@ -19,6 +19,7 @@ from repro.formats.io import (
     ReadPolicy,
     matrix_market_string,
     read_matrix_market,
+    read_matrix_market_streaming,
 )
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
@@ -126,6 +127,18 @@ def test_huge_declared_nnz_rejected_up_front_by_policy():
 def test_huge_declared_dims_rejected_by_policy():
     text = BANNER + "99999999 99999999 1\n1 1 1.0\n"
     assert _code_of(text, STRICT) == "too_large"
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["memory", "stream"])
+def test_dims_past_int64_rejected_under_default_policy(streaming):
+    """An index that passes the range check must still fit int64."""
+    text = BANNER + "99999999999999999999 2 1\n99999999999999999999 1 1.0\n"
+    with pytest.raises(MatrixMarketError) as err:
+        if streaming:
+            list(read_matrix_market_streaming(io.StringIO(text)))
+        else:
+            read_matrix_market(io.StringIO(text))
+    assert err.value.code == "too_large"
 
 
 def test_negative_indices_rejected():

@@ -161,7 +161,7 @@ class TestLoadAndReport:
         assert "1/2 SLOs met, 1 violated" in text
 
     def test_permissive_ci_gate_parses(self):
-        # The file the CI obs-smoke job gates on must stay loadable.
+        # The file the chaos drill's counters are gated on must stay loadable.
         from pathlib import Path
 
         path = Path(__file__).parents[2] / "benchmarks" / "slo_permissive.json"

@@ -36,7 +36,6 @@ from repro.serving.drill import (
     tier_expectations,
 )
 from repro.serving.frontend import (
-    LineTooLong,
     ServingTier,
     TierConfig,
     drive_tier,
@@ -45,6 +44,7 @@ from repro.serving.frontend import (
 from repro.serving.protocol import (
     CODE_WORKER_LOST,
     REASON_WORKER_LOST,
+    LineTooLong,
     STATUS_FALLBACK,
     STATUS_INVALID,
     too_large_response,

@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.serving.drill import (
     run_serve_drill,
     synthetic_frozen_selector,
 )
+from repro.serving.protocol import encode_response
 from repro.serving.server import SelectorServer, ServingConfig
 
 
@@ -244,6 +248,90 @@ def test_serve_stream_jsonl_roundtrip(model_path, fake_clock):
     assert len(out) == 4  # shutdown stops the loop before line 5
     assert [r["status"] for r in out] == ["ok", "invalid", "ok", "ok"]
     assert out[3]["op"] == "shutdown"
+
+
+#: A request line far over the 1 KiB cap the bounded-read tests set.
+OVER_LIMIT = json.dumps({"id": "big", "op": "health", "pad": "x" * 20_000})
+
+
+class RecordingReader(io.TextIOWrapper):
+    """A text stream that records the size of every ``readline`` call."""
+
+    sizes: list[int]
+
+    def readline(self, size=-1):
+        self.sizes.append(size)
+        return super().readline(size)
+
+
+@pytest.mark.parametrize("lead", [False, True], ids=["first", "drained"])
+def test_serve_stream_answers_an_over_limit_line_and_goes_on(
+    model_path, fake_clock, lead
+):
+    """Over a real pipe, so ``_drain_ready``'s ``select`` path reads too.
+
+    With a ``lead`` line first, the over-limit line is read by
+    ``_drain_ready``; without, by ``serve_stream`` itself.
+    """
+    server = make_server(model_path, fake_clock, max_request_bytes=1024)
+    lines = [OVER_LIMIT, json.dumps({"id": "after", "op": "health"})]
+    if lead:
+        lines.insert(0, json.dumps({"id": "lead", "op": "healthz"}))
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, ("\n".join(lines) + "\n").encode())
+    os.close(write_fd)
+    outstream = io.StringIO()
+    with RecordingReader(open(read_fd, "rb"), encoding="utf-8") as instream:
+        instream.sizes = []
+        assert server.serve_stream(instream, outstream) == 0
+    # No read ever asked for more than the cap plus one character.
+    assert set(instream.sizes) == {1025}
+    out = outstream.getvalue().splitlines()
+    reference = make_server(model_path, fake_clock, max_request_bytes=1024)
+    # Parse rejections of a burst are answered before its admitted lines.
+    assert out[0] == encode_response(reference.handle_line(OVER_LIMIT + "\n"))
+    answers = [json.loads(line) for line in out[1:]]
+    assert [r["id"] for r in answers] == ["lead"] * lead + ["after"]
+    assert {r["status"] for r in answers} == {"ok"}
+
+
+def test_serve_socket_answers_an_over_limit_line_and_goes_on(
+    model_path, fake_clock, tmp_path
+):
+    server = make_server(model_path, fake_clock, max_request_bytes=1024)
+    path = str(tmp_path / "s.sock")
+    thread = threading.Thread(
+        target=server.serve_socket, args=(path,), daemon=True
+    )
+    thread.start()
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        for _ in range(500):
+            try:
+                client.connect(path)
+                break
+            except (FileNotFoundError, ConnectionRefusedError):
+                time.sleep(0.01)
+        answers = []
+        with client.makefile("r", encoding="utf-8") as replies:
+            for line in (
+                OVER_LIMIT,
+                json.dumps({"id": "after", "op": "health"}),
+                json.dumps({"id": "s", "op": "shutdown"}),
+            ):
+                client.sendall((line + "\n").encode())
+                answers.append(replies.readline())
+    finally:
+        client.close()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    reference = make_server(model_path, fake_clock, max_request_bytes=1024)
+    assert answers[0] == (
+        encode_response(reference.handle_line(OVER_LIMIT + "\n")) + "\n"
+    )
+    after = json.loads(answers[1])
+    assert after["id"] == "after" and after["status"] == "ok"
+    assert json.loads(answers[2])["op"] == "shutdown"
 
 
 def test_drill_contract_holds_under_hostile_traffic(model_path, fake_clock):

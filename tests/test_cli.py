@@ -293,6 +293,37 @@ class TestPredictDegradation:
         assert "recommended format:" in capsys.readouterr().out
 
 
+class TestPredictOp:
+    """``predict --op``: the analytical kernel model needs no trained model."""
+
+    @pytest.fixture
+    def probe(self, tmp_path):
+        path = tmp_path / "probe.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "4 4 4\n1 1 1.0\n2 2 2.0\n3 3 3.0\n4 4 4.0\n"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, canonical",
+        [
+            (["--op", "spmm:32", "--arch", "volta"], "spmm:32"),
+            (["--op", "spgemm"], "spgemm"),
+        ],
+        ids=["spmm", "spgemm"],
+    )
+    def test_op_prints_its_canonical_name(self, probe, argv, canonical, capsys):
+        assert main(["predict", probe, *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("recommended format: ")
+        assert f" for {canonical} on " in out
+
+    def test_bad_op_exits_2(self, probe, capsys):
+        assert main(["predict", probe, "--op", "gemv"]) == 2
+        assert "unknown op kind 'gemv'" in capsys.readouterr().err
+
+
 class TestChaosCommand:
     def test_chaos_completes_with_quarantine_and_verifies(self, capsys):
         rc = main([
@@ -739,47 +770,6 @@ class TestObsCommands:
         ])
         assert rc == 2
         assert "repro obs report" in capsys.readouterr().err
-
-    def test_bench_writes_bench_obs_json(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_obs.json"
-        rc = main([
-            "obs", "bench", "--out", str(out_path),
-            "--requests", "20", "--items", "16", "--jobs", "1",
-            "--repeats", "2",
-        ])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "BENCH_obs" in captured.out or str(out_path) in captured.out
-        bench = json.loads(out_path.read_text())
-        assert bench["bench"] == "serving_latency"
-        serve = bench["serve"]
-        assert serve["p50_ms"] <= serve["p95_ms"] <= serve["p99_ms"]
-        assert serve["n_requests"] == 20
-        assert "serving.request" in bench["stages"]
-        assert "serving.latency_seconds" in bench["metrics"]
-
-    def test_bench_gates_against_slo(self, tmp_path, capsys):
-        rc = main([
-            "obs", "bench", "--out", str(tmp_path / "b.json"),
-            "--requests", "10", "--items", "8", "--jobs", "1",
-            "--repeats", "1",
-            "--slo", self._write_slo(tmp_path, max_p99=10.0),
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "[PASS]" in out
-
-    def test_bench_slo_violation_fails(self, tmp_path, capsys):
-        rc = main([
-            "obs", "bench", "--out", str(tmp_path / "b.json"),
-            "--requests", "10", "--items", "8", "--jobs", "1",
-            "--repeats", "1",
-            "--slo", self._write_slo(tmp_path, max_p99=1e-9),
-        ])
-        assert rc == 1
-        assert "[FAIL]" in capsys.readouterr().out
 
 
 class TestChaosMetricsOut:

@@ -18,20 +18,3 @@
   future-work extensions (online clustering, overhead-conscious
   selection).
 """
-
-from repro.core.labeling import LabeledDataset, build_labeled_dataset
-from repro.core.pipeline import FeaturePipeline
-from repro.core.semisupervised import ClusterFormatSelector
-from repro.core.supervised import SUPERVISED_MODELS, SupervisedFormatSelector
-from repro.core.purity import cluster_purity, purity_report
-
-__all__ = [
-    "ClusterFormatSelector",
-    "FeaturePipeline",
-    "LabeledDataset",
-    "SUPERVISED_MODELS",
-    "SupervisedFormatSelector",
-    "build_labeled_dataset",
-    "cluster_purity",
-    "purity_report",
-]

@@ -18,16 +18,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.pipeline import FeaturePipeline
-from repro.core.semisupervised import ClusterFormatSelector
 from repro.ml.knn import pairwise_sq_dists
 from repro.ml.linalg import rs_matmul_t
 from repro.ml.pca import PCA
 from repro.ml.preprocessing import MinMaxScaler, SparseDistributionTransformer
 from repro.obs import TELEMETRY
+
+if TYPE_CHECKING:
+    from repro.core.semisupervised import ClusterFormatSelector
 
 _FORMAT_VERSION = 1
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from repro.datasets.generators import MatrixRecord
 from repro.features.stats import MatrixStats, StreamingStats, compute_stats
 from repro.features.table import FeatureTable
 from repro.formats.coo import COOMatrix
@@ -25,7 +24,9 @@ from repro.formats.io import (
     read_matrix_market_streaming,
 )
 from repro.obs import TELEMETRY
-from repro.runtime.parallel import parallel_map
+
+if TYPE_CHECKING:
+    from repro.datasets.generators import MatrixRecord
 
 #: Feature order follows Table 1 of the paper.
 FEATURE_NAMES: tuple[str, ...] = (
@@ -379,6 +380,8 @@ def extract_features_collection(
     (``features.derive``) — are timed separately, and throughput lands
     in the ``features.matrices_per_sec`` gauge.
     """
+    from repro.runtime.parallel import parallel_map
+
     with TELEMETRY.span(
         "features.extract_collection", n_matrices=len(records), jobs=jobs
     ) as span:

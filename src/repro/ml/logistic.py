@@ -7,7 +7,6 @@ per-cluster labelers (the "LR" in K-Means-LR / Birch-LR / Mean-Shift-LR).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.ml.base import BaseEstimator, check_X_y, check_array, encode_labels
 from repro.ml.linalg import rs_matmul_t
@@ -59,6 +58,10 @@ class LogisticRegression(BaseEstimator):
             G = (P - onehot).T @ Xb / n
             G[:, :d] += lam * W[:, :d]
             return loss + reg, G.ravel()
+
+        # Imported here: SciPy's import costs more than most fits, and
+        # only a fit needs it (DESIGN §18).
+        from scipy.optimize import minimize
 
         w0 = np.zeros(k * (d + 1))
         res = minimize(

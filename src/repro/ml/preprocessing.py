@@ -115,6 +115,28 @@ def sparse_distribution_score(column: np.ndarray) -> float:
     return float(hi / med)
 
 
+def sparse_distribution_scores(X: np.ndarray) -> np.ndarray:
+    """:func:`sparse_distribution_score` of every column of ``X``, bit for bit.
+
+    One sort replaces a percentile and a median per column: the positive
+    entries of a column are the suffix of its sorted column, so columns
+    with the same count of positives share one ``np.percentile`` and one
+    ``np.median`` call.  A median of positive values is positive, so the
+    reference's ``inf`` branch cannot arise here.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    ordered = np.sort(X, axis=0)
+    n_positive = np.count_nonzero(X > 0, axis=0)
+    scores = np.ones(X.shape[1])
+    for m in np.unique(n_positive[n_positive >= 2]):
+        cols = np.flatnonzero(n_positive == m)
+        positive = ordered[X.shape[0] - m:, cols]
+        scores[cols] = np.percentile(positive, 99, axis=0) / np.median(
+            positive, axis=0
+        )
+    return scores
+
+
 class SparseDistributionTransformer:
     """Per-feature log/sqrt transform of sparsely-distributed columns.
 
@@ -135,11 +157,9 @@ class SparseDistributionTransformer:
     def fit(self, X: np.ndarray) -> "SparseDistributionTransformer":
         X = check_array(X)
         self.shift_ = np.minimum(X.min(axis=0), 0.0)
-        shifted = X - self.shift_
-        scores = np.array(
-            [sparse_distribution_score(shifted[:, j]) for j in range(X.shape[1])]
+        self.apply_ = (
+            sparse_distribution_scores(X - self.shift_) > self.threshold
         )
-        self.apply_ = scores > self.threshold
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ from repro.obs.metrics import (
 from repro.obs.quantiles import (
     DEFAULT_QUANTILES,
     bucket_quantile,
-    exact_quantile,
     quantile_key,
     snapshot_quantile,
     summarize,
@@ -105,7 +104,6 @@ __all__ = [
     "current_context",
     "dump_profile",
     "evaluate",
-    "exact_quantile",
     "load_slo_file",
     "load_trace",
     "new_trace_id",

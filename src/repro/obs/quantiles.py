@@ -135,21 +135,9 @@ def summarize(
     return {quantile_key(q): snapshot_quantile(snapshot, q) for q in qs}
 
 
-def exact_quantile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile over raw samples (no bucket estimation)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    if not samples:
-        return math.nan
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[rank]
-
-
 __all__ = [
     "DEFAULT_QUANTILES",
     "bucket_quantile",
-    "exact_quantile",
     "quantile_key",
     "snapshot_quantile",
     "summarize",

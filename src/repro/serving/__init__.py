@@ -44,80 +44,63 @@ hedge_wins``, EWMA-scored brownout routing with probe-based
 reinstatement, and graceful drain on SIGTERM/``shutdown``.
 """
 
-from repro.serving.admission import AdmissionController
-from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serving.drill import (
-    DrillExpectation,
-    DrillReport,
-    build_request_lines,
-    run_serve_drill,
-    synthetic_frozen_selector,
-)
-from repro.serving.frontend import ServingTier, TierConfig, TierError
-from repro.serving.gateway import GatewayLimits, IngestError, IngestionGateway
-from repro.serving.modelstore import ModelStore, ModelStoreError, StoreLoader
-from repro.serving.protocol import (
-    Request,
-    RequestParseError,
-    STATUS_FALLBACK,
-    STATUS_INVALID,
-    STATUS_OK,
-    STATUS_OVERLOADED,
-    STATUSES,
-    encode_response,
-    parse_request_line,
-)
-from repro.serving.reload import (
-    FileLoader,
-    ModelHost,
-    ModelVersion,
-    RELOAD_QUARANTINED,
-    RELOAD_SWAPPED,
-    RELOAD_UNCHANGED,
-    golden_features,
-)
-from repro.serving.routing import DEFAULT_REPLICAS, HashRing, stable_hash
-from repro.serving.server import SelectorServer, ServingConfig
+import importlib
 
-__all__ = [
-    "DEFAULT_REPLICAS",
-    "HashRing",
-    "ModelStore",
-    "ModelStoreError",
-    "ServingTier",
-    "StoreLoader",
-    "TierConfig",
-    "TierError",
-    "stable_hash",
-    "AdmissionController",
-    "CLOSED",
-    "CircuitBreaker",
-    "DrillExpectation",
-    "DrillReport",
-    "GatewayLimits",
-    "HALF_OPEN",
-    "IngestError",
-    "IngestionGateway",
-    "FileLoader",
-    "ModelHost",
-    "ModelVersion",
-    "OPEN",
-    "RELOAD_QUARANTINED",
-    "RELOAD_SWAPPED",
-    "RELOAD_UNCHANGED",
-    "Request",
-    "RequestParseError",
-    "STATUSES",
-    "STATUS_FALLBACK",
-    "STATUS_INVALID",
-    "STATUS_OK",
-    "STATUS_OVERLOADED",
-    "SelectorServer",
-    "ServingConfig",
-    "build_request_lines",
-    "encode_response",
-    "golden_features",
-    "parse_request_line",
-    "run_serve_drill",
-    "synthetic_frozen_selector",
-]
+#: Public name → the submodule that defines it.  Names resolve on first
+#: use (PEP 562 ``__getattr__``), so importing one layer, such as
+#: ``repro.serving.server``, loads that layer's imports and no sibling's:
+#: a worker never loads the asyncio front-end or the drill (DESIGN §18).
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "admission": ("AdmissionController",),
+        "breaker": ("CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker"),
+        "drill": (
+            "DrillExpectation",
+            "DrillReport",
+            "build_request_lines",
+            "run_serve_drill",
+            "synthetic_frozen_selector",
+        ),
+        "frontend": ("ServingTier", "TierConfig", "TierError"),
+        "gateway": ("GatewayLimits", "IngestError", "IngestionGateway"),
+        "modelstore": ("ModelStore", "ModelStoreError", "StoreLoader"),
+        "protocol": (
+            "Request",
+            "RequestParseError",
+            "STATUS_FALLBACK",
+            "STATUS_INVALID",
+            "STATUS_OK",
+            "STATUS_OVERLOADED",
+            "STATUSES",
+            "encode_response",
+            "parse_request_line",
+        ),
+        "reload": (
+            "FileLoader",
+            "ModelHost",
+            "ModelVersion",
+            "RELOAD_QUARANTINED",
+            "RELOAD_SWAPPED",
+            "RELOAD_UNCHANGED",
+            "golden_features",
+        ),
+        "routing": ("DEFAULT_REPLICAS", "HashRing", "stable_hash"),
+        "server": ("SelectorServer", "ServingConfig"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -738,7 +738,12 @@ class SelectorServer:
             while not self._stop:
                 conn, _ = server_socket.accept()
                 with conn:
-                    reader = conn.makefile("r", encoding="utf-8")
+                    # Decoded as the front-end decodes: a non-UTF-8
+                    # byte becomes U+FFFD and its line is answered
+                    # like any other, instead of ending the loop.
+                    reader = conn.makefile(
+                        "r", encoding="utf-8", errors="replace"
+                    )
                     while not self._stop:
                         line = self._read_line(reader)
                         if not line:

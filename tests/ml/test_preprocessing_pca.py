@@ -13,6 +13,15 @@ from repro.ml.preprocessing import (
     SparseDistributionTransformer,
     StandardScaler,
     sparse_distribution_score,
+    sparse_distribution_scores,
+)
+from tests.conftest import HYPOTHESIS_SCALE
+
+# A small pool forces ties, zeros, all-negative columns and columns with
+# fewer than two positives; the float range adds arbitrary magnitudes.
+score_values = st.one_of(
+    st.sampled_from([-3.0, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 2.0, 1e300]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
 
 
@@ -95,6 +104,24 @@ class TestSparseDistributionTransformer:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SparseDistributionTransformer(kind="exp")
+
+    @settings(max_examples=200 * HYPOTHESIS_SCALE, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 8)),
+            elements=score_values,
+        )
+    )
+    def test_batched_scores_match_reference_bit_for_bit(self, X):
+        with np.errstate(over="ignore"):  # 1e300 / 5e-324 is inf in both
+            want = [
+                sparse_distribution_score(X[:, j]) for j in range(X.shape[1])
+            ]
+            got = sparse_distribution_scores(X)
+        np.testing.assert_array_equal(
+            got.view(np.uint64), np.array(want).view(np.uint64)
+        )
 
     def test_transform_below_fitted_min_is_clamped(self, rng):
         X = np.exp(rng.standard_normal(300) * 4)[:, None] + 5

@@ -1,4 +1,4 @@
-"""Bucket-interpolated and exact quantile estimation."""
+"""Bucket-interpolated quantile estimation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.obs import (
     Histogram,
     bucket_quantile,
-    exact_quantile,
     quantile_key,
     snapshot_quantile,
     summarize,
@@ -83,22 +82,3 @@ class TestQuantileKey:
     def test_fractional_quantile(self):
         assert quantile_key(0.999) == "p99.9"
 
-
-class TestExactQuantile:
-    def test_empty_is_nan(self):
-        assert math.isnan(exact_quantile([], 0.5))
-
-    def test_nearest_rank(self):
-        samples = [float(i) for i in range(1, 101)]  # 1..100
-        assert exact_quantile(samples, 0.5) == 50.0
-        assert exact_quantile(samples, 0.95) == 95.0
-        assert exact_quantile(samples, 0.99) == 99.0
-        assert exact_quantile(samples, 0.0) == 1.0
-        assert exact_quantile(samples, 1.0) == 100.0
-
-    def test_unsorted_input(self):
-        assert exact_quantile([3.0, 1.0, 2.0], 1.0) == 3.0
-
-    def test_rejects_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            exact_quantile([1.0], -0.1)

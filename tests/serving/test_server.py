@@ -295,23 +295,40 @@ def test_serve_stream_answers_an_over_limit_line_and_goes_on(
     assert {r["status"] for r in answers} == {"ok"}
 
 
+def serve_socket_in_thread(server, path: str) -> threading.Thread:
+    thread = threading.Thread(
+        target=server.serve_socket, args=(path,), daemon=True
+    )
+    thread.start()
+    return thread
+
+
+def connect(path: str) -> socket.socket:
+    """A client of ``serve_socket`` at ``path``, once it listens.
+
+    Its reads time out, so a server that stops answering fails the test
+    instead of hanging it.
+    """
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.settimeout(30)
+    for _ in range(500):
+        try:
+            client.connect(path)
+            return client
+        except (FileNotFoundError, ConnectionRefusedError):
+            time.sleep(0.01)
+    client.close()
+    raise AssertionError(f"nothing listens at {path}")
+
+
 def test_serve_socket_answers_an_over_limit_line_and_goes_on(
     model_path, fake_clock, tmp_path
 ):
     server = make_server(model_path, fake_clock, max_request_bytes=1024)
     path = str(tmp_path / "s.sock")
-    thread = threading.Thread(
-        target=server.serve_socket, args=(path,), daemon=True
-    )
-    thread.start()
-    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    thread = serve_socket_in_thread(server, path)
+    client = connect(path)
     try:
-        for _ in range(500):
-            try:
-                client.connect(path)
-                break
-            except (FileNotFoundError, ConnectionRefusedError):
-                time.sleep(0.01)
         answers = []
         with client.makefile("r", encoding="utf-8") as replies:
             for line in (
@@ -332,6 +349,33 @@ def test_serve_socket_answers_an_over_limit_line_and_goes_on(
     after = json.loads(answers[1])
     assert after["id"] == "after" and after["status"] == "ok"
     assert json.loads(answers[2])["op"] == "shutdown"
+
+
+def test_serve_socket_answers_non_utf8_bytes_and_goes_on(
+    model_path, fake_clock, tmp_path
+):
+    """A byte that is not UTF-8 is replaced, as the front-end does, and
+    its line answered; the connection and the accept loop go on."""
+    server = make_server(model_path, fake_clock)
+    path = str(tmp_path / "s.sock")
+    thread = serve_socket_in_thread(server, path)
+    try:
+        with connect(path) as client, client.makefile("rb") as replies:
+            client.sendall(b'\xff\xfe bad\n{"id": "after", "op": "health"}\n')
+            first = replies.readline()
+            after = json.loads(replies.readline())
+        with connect(path) as client, client.makefile("rb") as replies:
+            client.sendall(b'{"id": "s", "op": "shutdown"}\n')
+            last = json.loads(replies.readline())
+    finally:
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    reference = make_server(model_path, fake_clock)
+    replaced = reference.handle_line("\ufffd\ufffd bad\n")
+    assert replaced["status"] == "invalid"
+    assert first == (encode_response(replaced) + "\n").encode()
+    assert after["id"] == "after" and after["status"] == "ok"
+    assert last["op"] == "shutdown"
 
 
 def test_drill_contract_holds_under_hostile_traffic(model_path, fake_clock):

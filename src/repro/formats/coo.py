@@ -61,9 +61,7 @@ class COOMatrix(SparseMatrix):
                 raise FormatError("COO row index out of range")
             if cols.min(initial=0) < 0 or cols.max(initial=0) >= self.shape[1]:
                 raise FormatError("COO column index out of range")
-        self.rows, self.cols, self.vals = _canonicalise(
-            self.shape, rows, cols, vals
-        )
+        self.rows, self.cols, self.vals = _canonicalise(rows, cols, vals)
 
     # -- construction helpers ------------------------------------------------
 
@@ -156,10 +154,7 @@ def _check_perm(perm: np.ndarray, n: int, kind: str) -> np.ndarray:
 
 
 def _canonicalise(
-    shape: tuple[int, int],
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort triples row-major and sum duplicates."""
     if rows.size == 0:
@@ -167,11 +162,14 @@ def _canonicalise(
     # Row-major order: lexsort's last key is primary.
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
-    # Collapse duplicates (same row and col) by summation.
-    keys = rows * shape[1] + cols
-    is_first = np.empty(keys.shape, dtype=bool)
+    # Collapse duplicates (same row and col) by summation.  Rows and
+    # columns are compared apart: a packed key ``row * ncols + col``
+    # wraps once ``nrows * ncols`` passes int64 and merges distinct
+    # entries.
+    is_first = np.empty(rows.shape, dtype=bool)
     is_first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=is_first[1:])
+    np.not_equal(rows[1:], rows[:-1], out=is_first[1:])
+    is_first[1:] |= cols[1:] != cols[:-1]
     if is_first.all():
         return rows, cols, vals
     group_ids = np.cumsum(is_first) - 1

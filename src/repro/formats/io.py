@@ -21,11 +21,9 @@ behaviour (duplicates summed, non-finite values kept).
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import mmap
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
 
@@ -41,21 +39,16 @@ _SUPPORTED_SYMMETRY = {"general", "symmetric", "skew-symmetric"}
 #: Default number of stored entries per streamed COO block.
 DEFAULT_CHUNK_NNZ = 65536
 
-#: Entry lines taken at once; a batch that certifies is converted in
-#: one go (see :func:`_convert_batch`), any other line by line.
-_BATCH_LINES = 8192
+#: Characters of entry text (bytes of a mapped file) taken at once,
+#: then cut after a newline; a slice that certifies is converted in one
+#: go (see :func:`_convert_slice`), any other line by line.
+_SLICE = 1 << 18
 
-#: The bytes a field of a certified batch may hold.
+#: The bytes a field of a certified slice may hold.
 _FIELD_BYTES = b"0123456789+-.eE"
 
 #: Certified indices stay below 10**18, where int64 parsing is exact.
 _MAX_INDEX = 10**18 - 1
-
-#: A line's last character ("" for an empty line).
-_LAST_CHAR = operator.itemgetter(slice(-1, None))
-
-#: Bytes of a mapped file decoded at once (cut after a newline).
-_MMAP_SLICE = 1 << 18
 
 
 class MatrixMarketError(FormatError):
@@ -135,18 +128,27 @@ def read_matrix_market(
 
     Implemented on top of :func:`read_matrix_market_streaming`, so the
     in-memory and streaming readers cannot drift: both run the same
-    validation in the same order.
+    validation in the same order.  Under ``duplicates="reject"`` the
+    duplicate check runs here rather than at the end of the stream: on
+    the stored entries of a symmetric file, before mirroring, as the
+    stream runs it; for a general file through the row-major sort that
+    ``COOMatrix`` builds anyway, which merges entries exactly when two
+    share a coordinate.  A read that holds a duplicate sorts its
+    coordinates once more, to name the first one as the stream would.
     """
-    stream = read_matrix_market_streaming(source, policy)
+    stream = read_matrix_market_streaming(
+        source, replace(policy, duplicates="sum")
+    )
     header = next(stream)
-    row_chunks: list[np.ndarray] = []
-    col_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    for block in stream:
-        row_chunks.append(block.rows)
-        col_chunks.append(block.cols)
-        val_chunks.append(block.vals)
-    return assemble_matrix(header, row_chunks, col_chunks, val_chunks)
+    rows, cols, vals = _concat_blocks(list(stream))
+    reject = policy.duplicates == "reject"
+    if reject and header.symmetry != "general":
+        _check_duplicates(rows, cols)
+    matrix = assemble_matrix(header, [rows], [cols], [vals])
+    if reject and matrix.nnz < rows.size:
+        # Only a general file gets here: its stored entries merged.
+        _check_duplicates(rows, cols)
+    return matrix
 
 
 def read_matrix_market_streaming(
@@ -169,9 +171,15 @@ def read_matrix_market_streaming(
     reader hold: allocation is driven by actual file content (never the
     declared nnz), errors carry the same machine-readable codes, and —
     with ``duplicates="reject"`` — the same duplicate coordinate is
-    reported.  Entry lines are converted a batch at a time, so blocks
+    reported.  Entry lines are converted a slice at a time, so blocks
     may have been yielded before an error is raised; a raised error
     invalidates every block yielded so far.
+
+    A text stream (:class:`io.TextIOBase`) is read line by line through
+    its size line, then in slices cut after ``"\\n"``: its lines break
+    only there, as they do in a text-mode file (which translates
+    ``"\\r\\n"`` and ``"\\r"``) and in :class:`io.StringIO` (which keeps
+    ``"\\r"`` as data).  Any other iterable is read one item per line.
 
     For on-disk paths the file is read through ``mmap`` when possible
     (``use_mmap=True``, the default), falling back to buffered text I/O
@@ -183,7 +191,11 @@ def read_matrix_market_streaming(
         raise ValueError(f"chunk_nnz must be >= 1, got {chunk_nnz}")
     if isinstance(source, (str, Path)):
         return _stream_path(source, policy, chunk_nnz, use_mmap)
-    return _stream_lines(iter(source), policy, chunk_nnz)
+    if isinstance(source, io.TextIOBase):
+        lines = iter(source.readline, "")
+        return _stream_entries(lines, _text_slices(source), policy, chunk_nnz)
+    lines = iter(source)
+    return _stream_entries(lines, _item_slices(lines), policy, chunk_nnz)
 
 
 def assemble_matrix(
@@ -319,8 +331,9 @@ def _stream_path(
                     # to pick line boundaries exactly as the text-mode
                     # reader would; one memchr sweep decides the path.
                     if mm.find(b"\r") == -1:
-                        yield from _stream_lines(
-                            _mmap_lines(mm), policy, chunk_nnz
+                        lines = iter(lambda: mm.readline().decode("latin-1"), "")
+                        yield from _stream_entries(
+                            lines, _mmap_slices(mm), policy, chunk_nnz
                         )
                         return
     # latin-1 decodes every byte sequence, so non-ASCII comment lines
@@ -328,38 +341,73 @@ def _stream_path(
     # UnicodeDecodeError; malformed *data* still raises
     # MatrixMarketError below.
     with open(path, "r", encoding="latin-1") as fh:
-        yield from _stream_lines(iter(fh), policy, chunk_nnz)
+        lines = iter(fh.readline, "")
+        yield from _stream_entries(lines, _text_slices(fh), policy, chunk_nnz)
 
 
-def _mmap_lines(mm: mmap.mmap) -> Iterator[str]:
-    """Lines (with trailing newline, latin-1 decoded) from a CR-free mmap.
+def _mmap_slices(mm: mmap.mmap) -> Iterator[str]:
+    """The rest of a CR-free map, latin-1 decoded, in slices.
 
-    The map is decoded a slice of about :data:`_MMAP_SLICE` bytes at a
-    time, each cut after a newline and split on ``"\\n"`` alone
-    (``str.splitlines`` would also break at ``\\x0b``, ``\\x0c``,
-    ``\\x1c``-``\\x1e`` and ``\\x85``, which text mode does not).
+    Each slice runs from the map's position to the first newline at or
+    past :data:`_SLICE` bytes on (the last may end without one).
     """
-    return itertools.chain.from_iterable(_mmap_slices(mm))
-
-
-def _mmap_slices(mm: mmap.mmap) -> Iterator[list[str]]:
-    pos = 0
+    pos = mm.tell()
     end = len(mm)
     while pos < end:
-        nl = mm.find(b"\n", min(pos + _MMAP_SLICE, end) - 1)
+        nl = mm.find(b"\n", min(pos + _SLICE, end) - 1)
         stop = end if nl < 0 else nl + 1
-        lines = mm[pos:stop].decode("latin-1").split("\n")
-        last = lines.pop()  # "" unless the file ends without a newline
-        lines = [line + "\n" for line in lines]
-        if last:
-            lines.append(last)
-        yield lines
+        yield mm[pos:stop].decode("latin-1")
         pos = stop
 
 
-def _stream_lines(
-    lines: Iterator[str], policy: ReadPolicy, chunk_nnz: int
+def _text_slices(stream: TextIO) -> Iterator[str]:
+    """The rest of ``stream`` in slices of about :data:`_SLICE` characters.
+
+    Each piece read is completed through its line's newline, so every
+    slice but the last of the stream ends in one.
+    """
+    while piece := stream.read(_SLICE):
+        if not piece.endswith("\n"):
+            piece += stream.readline()
+        yield piece
+
+
+def _item_slices(lines: Iterator[str]) -> Iterator[str | list[str]]:
+    """The rest of a caller's line iterable, about :data:`_SLICE`
+    characters of items at a time.
+
+    Each item is one line to the per-line loop, wherever its newlines
+    fall.  A run of items that each hold one newline, at their end,
+    joins into a slice whose lines are exactly those items; a run with
+    any other item (no newline, or one before its end) is passed on as
+    its list of items.  An empty item is a blank line either way.
+    """
+    run: list[str] = []
+    size = 0
+    joinable = True
+    for line in lines:
+        run.append(line)
+        size += len(line)
+        joinable = joinable and line.find("\n") == len(line) - 1
+        if size >= _SLICE:
+            yield "".join(run) if joinable else run
+            run, size, joinable = [], 0, True
+    if run:
+        yield "".join(run) if joinable else run
+
+
+def _stream_entries(
+    lines: Iterator[str],
+    slices: Iterator[str | list[str]],
+    policy: ReadPolicy,
+    chunk_nnz: int,
 ) -> Iterator[MatrixMarketHeader | COOBlock]:
+    """Parse the header from ``lines`` and the entries from ``slices``.
+
+    ``slices`` continues where ``lines`` stops: the banner, comments
+    and size line are taken one line at a time, so a rejected size line
+    pulls no entry text.
+    """
     field, symmetry = _parse_banner(next(lines, ""))
 
     # Skip comments and blank lines; the first data line is the size line.
@@ -384,12 +432,13 @@ def _stream_lines(
     nrows, ncols, nnz = _parse_size_line(size_line, policy)
     yield MatrixMarketHeader(field, symmetry, nrows, ncols, nnz)
 
-    # Entry lines arrive in batches of at most _BATCH_LINES.  A batch
-    # that certifies is converted at once; any other goes through the
-    # per-line loop, the only place that raises.  Storage is sized by
-    # what the file actually contains — never by the declared nnz, so a
-    # forged size line cannot demand a giant allocation.  Converted
-    # batches are cut into blocks of exactly chunk_nnz entries.  Under
+    # A text slice that certifies is converted at once; any other is
+    # split on "\n" alone (as text-mode iteration cuts lines) and goes,
+    # like a list of a caller's items, through the per-line loop, the
+    # only place that raises.  Storage is sized by what the file
+    # actually contains — never by the declared nnz, so a forged size
+    # line cannot demand a giant allocation.  Converted slices are cut
+    # into blocks of exactly chunk_nnz entries.  Under
     # ``duplicates="reject"`` the yielded index chunks are additionally
     # retained so the end-of-stream check can run the exact in-memory
     # lexsort pass (reporting the identical first row-major duplicate).
@@ -400,15 +449,17 @@ def _stream_lines(
     pending: list[COOBlock] = []
     pending_nnz = 0
     count = 0
-    while batch := list(itertools.islice(lines, _BATCH_LINES)):
+    for piece in slices:
         entries = None
-        if len(batch) <= nnz - count:
-            entries = _convert_batch(
-                batch, width, nrows, ncols, policy.allow_nonfinite
+        if isinstance(piece, str):
+            entries = _convert_slice(
+                piece, width, nrows, ncols, nnz - count, policy.allow_nonfinite
             )
+            if entries is None:
+                piece = piece.split("\n")
         if entries is None:
             entries = _parse_lines(
-                batch, field, nrows, ncols, nnz - count, policy
+                piece, field, nrows, ncols, nnz - count, policy
             )
         count += entries.rows.size
         pending.append(entries)
@@ -506,49 +557,50 @@ def _parse_lines(
     )
 
 
-def _convert_batch(
-    lines: list[str],
+def _convert_slice(
+    text: str,
     width: int,
     nrows: int,
     ncols: int,
+    left: int,
     allow_nonfinite: bool,
 ) -> COOBlock | None:
-    """The entries of ``lines`` converted at once, or ``None``.
+    """The entries of the slice ``text`` converted at once, or ``None``.
 
-    The batch certifies when it is ASCII; every line is ``width``
+    The slice certifies when it is ASCII; every line is ``width``
     non-empty fields of bytes from :data:`_FIELD_BYTES` joined by single
-    spaces and ended by its only newline (the last line of a stream may
-    lack it); the index fields are digits without a leading zero; every
-    index is in range; and, unless ``allow_nonfinite``, every value is
-    finite.  The per-line loop then accepts each line with exactly these
-    entries: digit fields parse to the integers ``int`` gives, values
-    are ``float`` of the same tokens.  Anything else returns ``None``
-    and is left to that loop, errors included.
+    spaces; it holds at most ``left`` lines, the entries the declared
+    nnz still allows; the index fields are digits without a leading
+    zero; every index is in range; and, unless ``allow_nonfinite``,
+    every value is finite.  A slice is cut after a newline (the last of
+    a stream may lack it), so its lines are its ``"\\n"``-separated
+    pieces, which is how the per-line loop would cut them, and that
+    loop accepts each line with exactly these entries: digit fields
+    parse to the integers ``int`` gives, values are ``float`` of the
+    same tokens.  Anything else returns ``None`` and is left to that
+    loop, errors included.
     """
     # Deleting the field bytes must leave the separators of n canonical
-    # lines; one token per field means no field is empty; and every line
-    # but the last must end in a newline (a caller's iterable may split
-    # lines anywhere), so each line holds one newline, at its end.  The
-    # first line is tried alone first, which keeps a failed attempt on
-    # a non-canonical body (tabs, comments) down to one line's work.
+    # lines, and one token per field means no field is empty.  The first
+    # line is tried alone first, which keeps a failed attempt on a
+    # non-canonical body (tabs, comments) down to one line's work.
     separators = b" " * (width - 1) + b"\n"
-    first = lines[0]
+    first = text[: text.find("\n") + 1] or text
     if not first.isascii() or (
         first.encode("ascii").translate(None, _FIELD_BYTES) != separators
     ):
         return None
-    text = "".join(lines)
     if not text.isascii():
         return None
     data = text.encode("ascii")
     if not data.endswith(b"\n"):
         data += b"\n"
-    n = len(lines)
-    if data.translate(None, _FIELD_BYTES) != separators * n:
+    layout = data.translate(None, _FIELD_BYTES)
+    n = len(layout) // width
+    if n > left or layout != separators * n:
         return None
     tokens = data.split()
-    tails = "".join(map(_LAST_CHAR, lines))
-    if len(tokens) != n * width or tails[:-1] != "\n" * (n - 1):
+    if len(tokens) != n * width:
         return None
     # Index fields: digits without a leading zero, so every index is at
     # least 1 and, below 10**18, at most 18 digits long — exact for

@@ -744,18 +744,25 @@ class SelectorServer:
                     reader = conn.makefile(
                         "r", encoding="utf-8", errors="replace"
                     )
-                    while not self._stop:
-                        line = self._read_line(reader)
-                        if not line:
-                            break
-                        if isinstance(line, str) and not line.strip():
-                            continue
-                        for response in self.submit_burst([line]):
-                            conn.sendall(
-                                (encode_response(response) + "\n").encode()
-                            )
+                    try:
+                        self._converse(conn, reader)
+                    except (BrokenPipeError, ConnectionResetError):
+                        # The peer hung up: that ends its connection,
+                        # not the accept loop.
+                        pass
         finally:
             server_socket.close()
             if os.path.exists(socket_path):
                 os.unlink(socket_path)
         return 0
+
+    def _converse(self, conn, reader) -> None:
+        """Answer each request line of one socket connection in turn."""
+        while not self._stop:
+            line = self._read_line(reader)
+            if not line:
+                break
+            if isinstance(line, str) and not line.strip():
+                continue
+            for response in self.submit_burst([line]):
+                conn.sendall((encode_response(response) + "\n").encode())

@@ -31,6 +31,16 @@ def test_duplicates_are_summed():
     assert dense[2, 2] == 5.0
 
 
+def test_distinct_entries_stay_distinct_past_int64_keys():
+    """In a 2**40-square matrix, (0, 0) and (2**24, 0) share the packed
+    key ``row * ncols + col`` modulo 2**64; they must not merge."""
+    n = 2**40
+    coo = COOMatrix((n, n), rows=[2**24, 0], cols=[0, 0], vals=[2.0, 1.0])
+    assert coo.rows.tolist() == [0, 2**24]
+    assert coo.cols.tolist() == [0, 0]
+    assert coo.vals.tolist() == [1.0, 2.0]
+
+
 def test_out_of_range_indices_rejected():
     with pytest.raises(FormatError):
         COOMatrix((2, 2), rows=[2], cols=[0], vals=[1.0])

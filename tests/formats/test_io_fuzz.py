@@ -17,6 +17,7 @@ from repro.formats import COOMatrix
 from repro.formats.io import (
     MatrixMarketError,
     ReadPolicy,
+    assemble_matrix,
     matrix_market_string,
     read_matrix_market,
     read_matrix_market_streaming,
@@ -139,6 +140,28 @@ def test_dims_past_int64_rejected_under_default_policy(streaming):
         else:
             read_matrix_market(io.StringIO(text))
     assert err.value.code == "too_large"
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["memory", "stream"])
+def test_distinct_entries_stay_distinct_past_int64_keys(streaming):
+    """(1, 1) and (2**24 + 1, 1) of a 2**40-square matrix share the
+    packed key ``row * ncols + col`` modulo 2**64; both stay entries."""
+    text = BANNER + f"{2**40} {2**40} 2\n1 1 1.0\n16777217 1 2.0\n"
+    if streaming:
+        stream = read_matrix_market_streaming(io.StringIO(text))
+        header = next(stream)
+        blocks = list(stream)
+        matrix = assemble_matrix(
+            header,
+            [b.rows for b in blocks],
+            [b.cols for b in blocks],
+            [b.vals for b in blocks],
+        )
+    else:
+        matrix = read_matrix_market(io.StringIO(text))
+    assert matrix.rows.tolist() == [0, 2**24]
+    assert matrix.cols.tolist() == [0, 0]
+    assert matrix.vals.tolist() == [1.0, 2.0]
 
 
 def test_negative_indices_rejected():

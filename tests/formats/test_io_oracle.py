@@ -1,12 +1,13 @@
-"""Batched MatrixMarket entry parsing ≡ the per-line loop (DESIGN §13).
+"""Slice-at-a-time MatrixMarket entry parsing ≡ the per-line loop (DESIGN §13).
 
 The oracle below is a compact copy of the reader as it parsed entries
 before batching: every entry line stripped, split, converted with
 ``int``/``int``/``float`` and checked for count, range and finiteness
 in file order, one line at a time.  The reader under test converts a
-batch of entry lines at once when the batch certifies and hands any
-other batch to its own per-line loop; whatever the path, it must give
-the oracle's matrix bytes or the oracle's ``(code, message)``.
+slice of entry text at once when the slice certifies and hands any
+other slice, split into lines, to its own per-line loop; whatever the
+path, it must give the oracle's matrix bytes or the oracle's
+``(code, message)``.
 
 Hypothesis draws canonical bodies and then mutates them with what
 certification has to turn away: comment and blank lines between
@@ -14,11 +15,12 @@ entries, tabs, doubled/leading/trailing spaces, CRLF, missing, empty,
 moved and extra fields, ``+1``/``01``/``1_0`` and huge indices,
 non-ASCII digits and whitespace, ``inf``/``nan``/``1e400`` and malformed
 value tokens, out-of-range and duplicate coordinates, more or fewer
-entries than declared, and no final newline.  Each body is read with the batch bound set to 1, 2, 3
-and 7 lines (so small bodies cross batch boundaries), under both
-streaming-suite policies, at chunk sizes 1, 3, 7 and 65536, from
-``StringIO`` and from a file through ``mmap`` (with small decode
-slices) and through text mode.
+entries than declared, and no final newline.  Each body is read with
+the slice size set to 1, 8, 64 and 2**18 (so small bodies cross slice
+boundaries in every source), under both streaming-suite policies, at
+chunk sizes 1, 3, 7 and 65536, from ``StringIO``, from a generator of
+its lines, and from a file through ``mmap`` and through text mode; and
+by :func:`read_matrix_market` itself, from ``StringIO`` and the file.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from repro.formats.io import (
     _parse_banner,
     _parse_size_line,
     assemble_matrix,
+    read_matrix_market,
     read_matrix_market_streaming,
 )
 
-#: (entry lines per batch, bytes per mmap decode slice) read with.
-BOUNDS = ((1, 1), (2, 8), (3, 64), (7, 1 << 18))
+#: Slice sizes read with: characters of text, bytes of a mapped file.
+SLICE_SIZES = (1, 8, 64, 1 << 18)
 CHUNK_SIZES = (1, 3, 7, 65536)
 
 
@@ -153,17 +156,18 @@ def streamed(source, policy, chunk_nnz, **kwargs):
 
 
 @contextlib.contextmanager
-def bounds(batch_lines: int, slice_bytes: int):
-    saved = mmio._BATCH_LINES, mmio._MMAP_SLICE
-    mmio._BATCH_LINES, mmio._MMAP_SLICE = batch_lines, slice_bytes
+def slice_size(size: int):
+    saved = mmio._SLICE
+    mmio._SLICE = size
     try:
         yield
     finally:
-        mmio._BATCH_LINES, mmio._MMAP_SLICE = saved
+        mmio._SLICE = saved
 
 
 def assert_matches_oracle(text: str, path) -> None:
-    """Every source, bound, policy and chunk size gives the oracle's answer."""
+    """Every source, slice size, policy and chunk size gives the oracle's
+    answer."""
     path.write_bytes(text.encode("utf-8"))
     for name, policy in POLICIES.items():
         expected = outcome(lambda: oracle_read(iter(io.StringIO(text)), policy))
@@ -173,20 +177,29 @@ def assert_matches_oracle(text: str, path) -> None:
                 return oracle_read(iter(fh), policy)
 
         expected_file = outcome(from_file)
-        for batch_lines, slice_bytes in BOUNDS:
-            with bounds(batch_lines, slice_bytes):
+        for size in SLICE_SIZES:
+            with slice_size(size):
+                got = outcome(
+                    lambda: read_matrix_market(io.StringIO(text), policy)
+                )
+                assert got == expected, (name, size)
+                got = outcome(lambda: read_matrix_market(str(path), policy))
+                assert got == expected_file, (name, size)
                 for chunk in CHUNK_SIZES:
                     got = outcome(
                         lambda: streamed(io.StringIO(text), policy, chunk)
                     )
-                    assert got == expected, (name, batch_lines, chunk)
+                    assert got == expected, (name, size, chunk)
+                    generator = (line for line in io.StringIO(text))
+                    got = outcome(lambda: streamed(generator, policy, chunk))
+                    assert got == expected, (name, size, chunk, "generator")
                     for use_mmap in (True, False):
                         got = outcome(
                             lambda: streamed(
                                 str(path), policy, chunk, use_mmap=use_mmap
                             )
                         )
-                        where = (name, batch_lines, chunk, use_mmap)
+                        where = (name, size, chunk, use_mmap)
                         assert got == expected_file, where
 
 
@@ -301,7 +314,7 @@ def bodies(draw):
         elif kind == "index_token":
             toks = line.split(" ")
             i = draw(st.integers(0, 1))
-            if i < len(toks) and toks[i].isdigit():
+            if i < len(toks) and toks[i].isdecimal():
                 toks[i] = _index_token(draw, int(toks[i]))
             line = " ".join(toks)
         elif kind == "unicode_space":
@@ -347,6 +360,7 @@ BANNER = "%%MatrixMarket matrix coordinate real general\n"
 @example(text=BANNER.replace("real", "pattern") + "3 3 2\n1 1\n 2\n")  # ditto
 @example(text=BANNER + "3 3 3\n1 1 0.5\n2 2 0.5 3\n3 1.5\n")  # field moved
 @example(text=BANNER + "3 3 1\n1 1 0.5\n2 2 1.5\n")  # over the count
+@example(text=BANNER + "3 3 2\n1 1 0.5\n2 2 1e400\n")  # overflows to inf
 def test_mutated_bodies_match_the_per_line_oracle(mtx_path, text):
     assert_matches_oracle(text, mtx_path)
 
@@ -373,20 +387,46 @@ def test_numeric_soup_matches_the_per_line_oracle(mtx_path, field, body):
 
 
 def test_oracle_bodies_certify_and_fall_back():
-    """Both paths run: canonical batches certify, mutated ones do not."""
-    canonical = ["1 2 0.5\n", "3 3 -1e-3\n"]
-    assert mmio._convert_batch(canonical, 3, 3, 3, False) is not None
-    for lines in (
-        ["1 2 0.5\n", "% note\n"],
-        ["1\t2 0.5\n"],
-        ["1 2 0.5 7\n"],
-        ["1 2 0.5\n", "3\n"],
-        ["+1 2 0.5\n"],
-        ["1 2 0.5\r\n"],
-        ["1 2 0.5\n", "\u0661 2 0.5\n"],
-        ["1 2 0.5\n3", " 3 1.0\n"],
-        ["1 2 0.5\n", "3 3 1.0\n3 3 1.0\n", ""],
-        ["4 1 0.5\n"],
-        ["1 2 inf\n"],
+    """Both paths run: canonical slices certify, mutated ones do not."""
+    canonical = "1 2 0.5\n3 3 -1e-3\n"
+    assert mmio._convert_slice(canonical, 3, 3, 3, 2, False) is not None
+    assert mmio._convert_slice(canonical, 3, 3, 3, 1, False) is None  # count
+    for text in (
+        "1 2 0.5\n% note\n",
+        "1\t2 0.5\n",
+        "1 2 0.5 7\n",
+        "1 2 0.5\n3\n",
+        "+1 2 0.5\n",
+        "1 2 0.5\r\n",
+        "1 2 0.5\n\u0661 2 0.5\n",
+        "4 1 0.5\n",
+        "1 2 inf\n",
     ):
-        assert mmio._convert_batch(lines, 3, 3, 3, False) is None, lines
+        assert mmio._convert_slice(text, 3, 3, 3, 2, False) is None, text
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ["1 2 0.5\n3", " 3 1.0\n"],  # one line split across two items
+        ["1 2 0.5\n", "3 3 1.0\n3 3 1.0\n", ""],  # two lines in one item
+    ],
+    ids=["split", "joined"],
+)
+def test_items_that_split_or_join_lines_stay_one_line_each(items):
+    """A caller's item is one line to the per-line loop, wherever its
+    newlines fall: such a run is never joined into a slice."""
+    assert list(mmio._item_slices(iter(items))) == [items]
+    lines = [BANNER, "3 3 2\n", *items]
+    for name, policy in POLICIES.items():
+        expected = outcome(lambda: oracle_read(iter(lines), policy))
+        for size in SLICE_SIZES:
+            with slice_size(size):
+                for chunk in CHUNK_SIZES:
+                    got = outcome(lambda: streamed(iter(lines), policy, chunk))
+                    assert got == expected, (name, size, chunk)
+
+
+def test_newline_terminated_items_join_into_one_slice():
+    items = ["1 2 0.5\n", "3 3 1.0\n"]
+    assert list(mmio._item_slices(iter(items))) == ["".join(items)]

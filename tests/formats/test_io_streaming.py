@@ -158,8 +158,22 @@ def _long_text(n_entries, comment_at=None, final_newline=True):
     return "\n".join(lines) + ("\n" if final_newline else "")
 
 
-#: Entry lines in the long cases: more than one batch and one mmap slice.
+#: Entry lines in the long cases: more than one slice of entry text.
 LONG_ENTRIES = 12_000
+
+
+def _first_slice(text):
+    """Start and end of the reader's first slice of ``text``'s entry
+    lines: it ends after the first newline ``_SLICE`` characters on."""
+    start = text.index("\n", text.index("\n") + 1) + 1
+    return start, text.index("\n", start + io_mod._SLICE - 1) + 1
+
+
+def _comment_on_slice_boundary(n_entries):
+    """A long body whose comment line starts the second slice."""
+    text = _long_text(n_entries)
+    return _long_text(n_entries, comment_at=text.count("\n", *_first_slice(text)))
+
 
 PATH_CASES = {
     "lf": ("%%MatrixMarket matrix coordinate real general\n"
@@ -175,21 +189,18 @@ PATH_CASES = {
     "count_mismatch": ("%%MatrixMarket matrix coordinate real general\n"
                        "2 2 3\n1 1 1.0\n"),
     "long": _long_text(LONG_ENTRIES),
-    # The comment ends the first batch, which the per-line loop takes.
-    "long_comment_on_batch_boundary": _long_text(
-        LONG_ENTRIES, comment_at=io_mod._BATCH_LINES - 1
-    ),
+    # The comment starts the second slice, which the per-line loop takes.
+    "long_comment_on_slice_boundary": _comment_on_slice_boundary(LONG_ENTRIES),
     "long_no_trailing_newline": _long_text(LONG_ENTRIES, final_newline=False),
 }
 
 
-def test_long_path_cases_cross_batches_and_slices():
+def test_long_path_cases_cross_slices():
     for case in ("long", "long_no_trailing_newline"):
         text = PATH_CASES[case]
-        assert len(text.splitlines()) > io_mod._BATCH_LINES + 2
-        assert len(text) > io_mod._MMAP_SLICE
-    lines = PATH_CASES["long_comment_on_batch_boundary"].splitlines()
-    assert lines[2 + io_mod._BATCH_LINES - 1].startswith("%")
+        assert len(text) > _first_slice(text)[1]
+    text = PATH_CASES["long_comment_on_slice_boundary"]
+    assert text[_first_slice(text)[1]:].startswith("% a comment")
 
 
 @pytest.mark.parametrize("case", sorted(PATH_CASES))

@@ -378,6 +378,31 @@ def test_serve_socket_answers_non_utf8_bytes_and_goes_on(
     assert last["op"] == "shutdown"
 
 
+def test_serve_socket_outlives_a_client_that_hangs_up(
+    model_path, fake_clock, tmp_path
+):
+    """A client that closes before reading its replies ends only its own
+    connection: the next client is still accepted and answered."""
+    server = make_server(model_path, fake_clock)
+    path = str(tmp_path / "s.sock")
+    thread = serve_socket_in_thread(server, path)
+    try:
+        with connect(path) as client:
+            client.sendall(
+                "".join(predict_line(i) + "\n" for i in range(50)).encode()
+            )
+        with connect(path) as client, client.makefile("rb") as replies:
+            client.sendall(b'{"id": "after", "op": "health"}\n')
+            after = json.loads(replies.readline())
+            client.sendall(b'{"id": "s", "op": "shutdown"}\n')
+            last = json.loads(replies.readline())
+    finally:
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert after["id"] == "after" and after["status"] == "ok"
+    assert last["op"] == "shutdown"
+
+
 def test_drill_contract_holds_under_hostile_traffic(model_path, fake_clock):
     """The full drill: poison payloads, bursts, a corrupt swap, a good
     swap, injected faults — every request answered, zero violations."""

@@ -418,8 +418,6 @@ def _tier_config(
         model_path=model_path,
         run_dir=run_dir,
         workers=args.workers,
-        workers_min=getattr(args, "workers_min", None),
-        workers_max=getattr(args, "workers_max", None),
         worker_args=tuple(_worker_serve_flags(args)),
         fallback_format=args.fallback_format,
         max_request_bytes=args.max_request_bytes,
@@ -473,9 +471,7 @@ def _cmd_serve_tier(args: argparse.Namespace) -> int:
         if args.socket:
             print(
                 f"repro serve: tier front-end on unix socket "
-                f"{args.socket} ({tier.target_workers} workers, "
-                f"min {tier.config.min_workers} / "
-                f"max {tier.config.max_workers})",
+                f"{args.socket} ({tier.config.workers} workers)",
                 file=sys.stderr,
             )
             return asyncio.run(tier.run_socket(args.socket))
@@ -494,9 +490,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.faults import injector_for, spec_from_env
     from repro.serving import SelectorServer
 
-    if args.worker_store is None and (
-        args.workers > 1 or (args.workers_max or 1) > 1
-    ):
+    if args.worker_store is None and args.workers > 1:
         return _cmd_serve_tier(args)
 
     access_log = None
@@ -740,7 +734,7 @@ def _run_chaos_tier_drill(args: argparse.Namespace, spec) -> int:
             f"invalid={tier.n_invalid}"
         )
         rc = 0 if report.ok else 1
-        for violation in audit_tier_conservation(tier):
+        for violation in audit_tier_conservation(tier, lines):
             print(f"repro chaos: {violation}", file=sys.stderr)
             rc = 1
         if drain_report.violations:
@@ -1307,10 +1301,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes behind the asyncio front-end; "
                         "1 (default) keeps the single-process server "
                         "with byte-identical responses")
-    p.add_argument("--workers-min", type=int, default=None, metavar="N",
-                   help="autoscale floor (default: --workers)")
-    p.add_argument("--workers-max", type=int, default=None, metavar="N",
-                   help="autoscale ceiling (default: --workers)")
     p.add_argument("--run-dir", default=None, metavar="DIR",
                    help="tier scratch directory for the shared model "
                         "store and worker sockets (default: a temp dir)")

@@ -491,7 +491,3 @@ def rebuild_pipeline(frozen: FrozenSelector) -> FeaturePipeline:
         pipe._pca = None
     pipe.n_features_in_ = frozen.scaler_min.shape[0]
     return pipe
-
-
-#: Backwards-compatible alias (the helper predates its public promotion).
-_rebuild_pipeline = rebuild_pipeline

@@ -524,15 +524,18 @@ def _parse_lines(
             raise MatrixMarketError(
                 "more entries than declared nnz", code="count_mismatch"
             )
-        toks = stripped.split()
+        # Unpacking raises ValueError on a line with too few or too many
+        # fields: an entry line has exactly its field's width of them.
         try:
-            r = int(toks[0]) - 1  # MatrixMarket is 1-based
-            c = int(toks[1]) - 1
             if field == "pattern":
+                i, j = stripped.split()
                 v = 1.0
             else:
-                v = float(toks[2])
-        except (ValueError, IndexError) as exc:
+                i, j, value = stripped.split()
+                v = float(value)
+            r = int(i) - 1  # MatrixMarket is 1-based
+            c = int(j) - 1
+        except ValueError as exc:
             raise MatrixMarketError(
                 f"malformed entry line: {stripped!r}", code="bad_entry"
             ) from exc

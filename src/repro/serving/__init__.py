@@ -32,16 +32,15 @@ top, leaving the per-worker request path above unchanged:
 - :mod:`repro.serving.modelstore` — shared mmap model store: the
   front-end shadow-validates and publishes once, N workers attach
   read-only to the same pages.
-- :mod:`repro.serving.frontend` — the asyncio front-end: JSONL fan-out,
-  typed worker-loss responses, respawn, queue-depth autoscale, and
-  tier-wide metric/health aggregation.
+- :mod:`repro.serving.frontend` — the asyncio front-end: JSONL fan-out
+  to a fixed fleet, typed worker-loss responses, respawn, and tier-wide
+  metric/health aggregation.
 
 The front-end also runs the tail-latency resilience layer (DESIGN §15):
 deadline propagation (``deadline_ms`` on the wire, min-combined with
 ``--request-timeout``), hedged dispatch under a token-bucket budget
 with the conservation contract ``completed == primary_wins +
-hedge_wins``, EWMA-scored brownout routing with probe-based
-reinstatement, and graceful drain on SIGTERM/``shutdown``.
+hedge_wins``, and graceful drain on SIGTERM/``shutdown``.
 """
 
 import importlib

@@ -21,7 +21,7 @@ import asyncio
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from repro.serving.protocol import (
     STATUS_OK,
     STATUS_OVERLOADED,
     STATUSES,
+    RequestParseError,
+    parse_request_line,
 )
 from repro.serving.server import SelectorServer
 
@@ -447,16 +449,36 @@ def audit_tier_responses(
     return report
 
 
-def audit_tier_conservation(tier) -> list[str]:
+def _refused_by_front_end(line: str, max_bytes: int) -> bool:
+    """Whether the tier front-end answers ``line`` ``invalid`` itself.
+
+    The line is framed as :func:`~repro.serving.frontend.drive_tier`
+    sends it and the front-end parses it: with one trailing newline,
+    which counts toward the byte cap.
+    """
+    try:
+        parse_request_line(line.rstrip("\n") + "\n", max_bytes)
+    except RequestParseError:
+        return True
+    return False
+
+
+def audit_tier_conservation(tier, lines: Iterable[str] = ()) -> list[str]:
     """Check the tier's accounting invariants; returns violations.
 
-    Two exact conservation laws (DESIGN §15) plus one bound:
+    ``lines`` are the request lines the caller sent the front-end over
+    its client connections; a caller that sent none passes none.  Three
+    exact conservation laws (DESIGN §15) plus one bound:
 
     - ``routed == completed + worker_lost`` — no routed request is ever
       double-counted or silently dropped, hedged or not.
     - ``completed == primary_wins + hedge_wins`` — every completed
       request was won by exactly one dispatch branch; a hedge that
       fires never inflates the completion count.
+    - ``invalid`` equals the number of non-blank ``lines`` that
+      :func:`parse_request_line` rejects under the tier's
+      ``max_request_bytes`` — every line the front-end answers itself is
+      counted once.  Blank lines draw no answer, so they are skipped.
     - hedge volume stays within the token-bucket budget:
       ``hedges <= hedge_budget * routed + burst``.
     """
@@ -472,6 +494,17 @@ def audit_tier_conservation(tier) -> list[str]:
             f"hedge conservation: completed={tier.n_completed} != "
             f"primary_wins={tier.n_primary_wins} + "
             f"hedge_wins={tier.n_hedge_wins}"
+        )
+    max_bytes = tier.config.max_request_bytes
+    refused = sum(
+        1
+        for line in lines
+        if line.strip() and _refused_by_front_end(line, max_bytes)
+    )
+    if tier.n_invalid != refused:
+        violations.append(
+            f"invalid conservation: invalid={tier.n_invalid} != "
+            f"{refused} lines refused by the front-end's parse"
         )
     budget = tier.config.hedge_budget
     if budget > 0:

@@ -27,8 +27,8 @@ receives a *typed* error response immediately (``fallback`` with reason
 ``worker_lost`` for predict/feedback, ``invalid`` with code
 ``worker_lost`` otherwise) — never a hang — and the worker is respawned
 under its old ring name, so key movement is bounded to exactly the keys
-it owned.  A queue-depth autoscale loop spawns/retires workers within
-``--workers-min``/``--workers-max``.
+it owned.  The fleet size is fixed at ``--workers``: a respawn restores
+it, nothing grows or shrinks it.
 
 On top of routing, the front-end runs the tail-latency resilience layer
 (DESIGN §15):
@@ -46,14 +46,10 @@ On top of routing, the front-end runs the tail-latency resilience layer
   traffic), and all accounting is per *logical* request, so
   ``routed == completed + worker_lost`` and
   ``completed == primary_wins + hedge_wins`` hold exactly.
-- **Brownout routing** — per-worker EWMA latency scoring removes a
-  degraded worker from the ring without killing it, probes it with
-  synthetic ``healthz`` requests, and reinstates it once healthy;
-  killing stays the last resort for truly wedged workers.
 - **Graceful drain** — SIGTERM or the ``shutdown`` op stops accepting
   (new predict/feedback draw a typed ``draining`` refusal), lets
-  in-flight requests finish up to ``--drain-timeout``, retires workers
-  cleanly, flushes the access log, and exits 0.
+  in-flight requests finish up to ``--drain-timeout``, shuts workers
+  down cleanly, flushes the access log, and exits 0.
 """
 
 from __future__ import annotations
@@ -94,6 +90,9 @@ from repro.serving.routing import HashRing
 
 #: Ops the front-end answers itself (everything else is routed).
 TIER_OPS = ("health", "healthz", "metrics", "reload", "shutdown")
+
+#: Cadence of the watch loop: the hot-reload check and the respawn retry.
+WATCH_INTERVAL_SECONDS = 0.25
 
 
 class TierError(RuntimeError):
@@ -136,11 +135,8 @@ class TierConfig:
     model_path: str
     #: Scratch directory owning the model store and worker sockets.
     run_dir: str
-    #: Initial worker count.
+    #: Fleet size, held for the tier's lifetime (a dead worker respawns).
     workers: int = 2
-    #: Autoscale floor/ceiling; both default to ``workers`` (no scaling).
-    workers_min: int | None = None
-    workers_max: int | None = None
     #: Extra ``repro serve`` CLI flags forwarded verbatim to each worker
     #: (queue size, breaker knobs, ... — the worker is the unchanged
     #: single-process server).
@@ -149,11 +145,6 @@ class TierConfig:
     max_request_bytes: int = 16 * 1024 * 1024
     #: Watch the model path and publish validated candidates tier-wide.
     hot_reload: bool = True
-    #: Autoscale cadence; also the respawn-check cadence.
-    scale_interval_seconds: float = 0.25
-    #: Mean in-flight requests per worker that triggers a spawn/retire.
-    scale_up_depth: float = 4.0
-    scale_down_depth: float = 0.25
     #: Patience for one routed request before the worker is presumed
     #: wedged and killed (its in-flight load then gets typed errors).
     #: Also the front-end-stamped latency budget: every routed request
@@ -170,18 +161,6 @@ class TierConfig:
     hedge_budget: float = 0.05
     #: Completed-request samples required before auto-p95 hedging arms.
     hedge_warmup: int = 32
-    #: EWMA-latency multiple of the fleet median that browns a worker
-    #: out of the ring (state preserved, no kill); 0 disables.
-    brownout_factor: float = 4.0
-    #: Absolute EWMA floor below which brownout never triggers — a
-    #: uniformly fast fleet must not shed its (microseconds-) slowest.
-    brownout_floor_seconds: float = 0.005
-    #: Per-worker answered responses before its EWMA is trusted.
-    brownout_min_samples: int = 16
-    #: Consecutive healthy ``healthz`` probes that reinstate a worker.
-    brownout_probes: int = 3
-    #: Re-brownout immunity after reinstatement.
-    brownout_cooldown_seconds: float = 1.0
     #: Patience for in-flight requests when SIGTERM/``shutdown`` drains.
     drain_timeout_seconds: float = 10.0
     #: Non-CURRENT model-store versions kept by GC after each publish
@@ -191,14 +170,6 @@ class TierConfig:
     #: — how the chaos drill and the tail bench make exactly one worker
     #: slow (``{"w0": {"REPRO_FAULTS": "latency=1,delay=0.05"}}``).
     worker_env: dict = field(default_factory=dict)
-
-    @property
-    def min_workers(self) -> int:
-        return self.workers if self.workers_min is None else self.workers_min
-
-    @property
-    def max_workers(self) -> int:
-        return self.workers if self.workers_max is None else self.workers_max
 
 
 @dataclass
@@ -228,36 +199,14 @@ class WorkerHandle:
         self.pending: deque[_Pending] = deque()
         self.lock = asyncio.Lock()
         self.reader_task: asyncio.Task | None = None
-        self.retiring = False
         #: Set (synchronously with the pending flush) when the worker is
         #: gone; dispatchers that already hold a reference must check it
         #: before enqueueing.
         self.closed = False
-        self.started_at = time.monotonic()
-        self.n_answered = 0
-        #: EWMA of per-response latency on this connection (brownout
-        #: scoring input); reset on reinstatement so recovery is judged
-        #: on fresh evidence.
-        self.ewma_seconds: float | None = None
-        self.n_observed = 0
-        #: Off the ring but alive: state preserved, probed via synthetic
-        #: ``healthz`` until reinstated.
-        self.browned_out = False
-        self.probe_successes = 0
-        self.brownout_threshold = 0.0
-        self.reinstated_at = 0.0
 
     @property
     def inflight(self) -> int:
         return len(self.pending)
-
-    def note_latency(self, elapsed: float, alpha: float = 0.2) -> None:
-        """Fold one response latency into the brownout EWMA."""
-        if self.ewma_seconds is None:
-            self.ewma_seconds = elapsed
-        else:
-            self.ewma_seconds += alpha * (elapsed - self.ewma_seconds)
-        self.n_observed += 1
 
     def kill(self) -> None:
         if self.proc is not None and self.proc.poll() is None:
@@ -291,22 +240,19 @@ class ServingTier:
             self.store.prune(config.store_keep)
         self.ring = HashRing()
         self.workers: dict[str, WorkerHandle] = {}
-        self.target_workers = max(
-            config.min_workers, min(config.workers, config.max_workers)
-        )
         self._next_worker = 0
         self._conn_counter = 0
-        #: Names of workers that died unretired, awaiting respawn under
-        #: the same ring position (bounded key movement).
+        #: Names of workers that died, awaiting respawn under the same
+        #: ring position (bounded key movement).
         self._lost_names: set[str] = set()
         #: Serializes fleet changes: the reader-loop respawn trigger and
-        #: the periodic scale loop must not both spawn for one death.
+        #: the periodic watch loop must not both spawn for one death.
         self._capacity_lock: asyncio.Lock | None = None
         self._stopping = False
         self._stopped = False
         self._draining = False
         self._stop_event = asyncio.Event()
-        self._scale_task: asyncio.Task | None = None
+        self._watch_task: asyncio.Task | None = None
         self._drain_task: asyncio.Task | None = None
         self.started_at = time.monotonic()
         # Tier counters; `routed == completed + worker_lost` and
@@ -322,8 +268,6 @@ class ServingTier:
         self.n_hedge_wins = 0
         self.n_primary_wins = 0
         self.n_deadline_exceeded = 0
-        self.n_brownouts = 0
-        self.n_reinstated = 0
         self.n_draining_rejected = 0
         #: Lines the front-end answered ``invalid`` itself (parse failures
         #: and over-limit lines); none of them reaches a worker.
@@ -426,12 +370,11 @@ class ServingTier:
                     pend = handle.pending.popleft()
                     if not pend.future.done():
                         pend.future.set_result(response)
-                    handle.n_answered += 1
         except (ConnectionError, OSError):  # pragma: no cover - defensive
             pass
         finally:
             self._flush_worker(handle)
-            if not self._stopping and not handle.retiring:
+            if not self._stopping:
                 self._lost_names.add(handle.name)
                 asyncio.ensure_future(self._ensure_capacity())
 
@@ -472,19 +415,20 @@ class ServingTier:
         TELEMETRY.gauge_set("serving.workers", float(len(self.workers)))
 
     async def _ensure_capacity(self) -> None:
-        """Spawn (serialized) until the alive count meets the target.
+        """Spawn (serialized) until the alive count is ``workers`` again.
 
         Lost names are respawned first, and a respawned worker keeps its
         old ring position: the keys that moved off it while it was dead
         move back, and nothing else moves — the bounded-movement half of
         the routing contract.  The lock keeps the reader-loop trigger
-        and the scale loop from double-spawning for one death.
+        and the watch loop from double-spawning for one death.
         """
         if self._capacity_lock is None:
             self._capacity_lock = asyncio.Lock()
         async with self._capacity_lock:
-            while not self._stopping and len(self.workers) < max(
-                self.target_workers, self.config.min_workers
+            while (
+                not self._stopping
+                and len(self.workers) < self.config.workers
             ):
                 name = None
                 if self._lost_names:
@@ -497,206 +441,21 @@ class ServingTier:
                 if name is not None:
                     self.n_respawned += 1
                     TELEMETRY.inc("serving.respawned")
-            # Any leftover lost name is capacity the tier no longer
-            # needs (the target shrank while it was down).
-            self._lost_names.clear()
 
-    async def _retire_worker(self, handle: WorkerHandle) -> None:
-        """Drain one worker, then ask it to shut down."""
-        handle.retiring = True
-        if handle.name in self.ring:
-            self.ring.remove(handle.name)
-            self.n_rebalanced += 1
-            TELEMETRY.inc("serving.rebalanced")
-        deadline = time.monotonic() + self.config.request_timeout_seconds
-        while handle.pending and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        self.workers.pop(handle.name, None)
-        TELEMETRY.gauge_set("serving.workers", float(len(self.workers)))
-        try:
-            async with handle.lock:
-                if not handle.closed and handle.writer is not None:
-                    handle.pending.append(
-                        _Pending(
-                            asyncio.get_running_loop().create_future(),
-                            "shutdown",
-                            None,
-                        )
-                    )
-                    handle.writer.write(b'{"op":"shutdown"}\n')
-                    await handle.writer.drain()
-        except (ConnectionError, OSError):  # pragma: no cover - defensive
-            pass
-        await asyncio.sleep(0.1)
-        handle.kill()
-
-    def plan_scale(self, alive: list[WorkerHandle]) -> str | None:
-        """Pure scaling decision for the current fleet: up/down/None.
-
-        ``min == max`` is a hard no-scale band regardless of depth, so a
-        fixed-size tier never churns workers.  Separated from the loop
-        so the decision is unit-testable without processes.
-        """
-        if not alive:
-            return None
-        if self.config.min_workers == self.config.max_workers:
-            return None
-        depth = sum(w.inflight for w in alive) / len(alive)
-        if (
-            depth > self.config.scale_up_depth
-            and self.target_workers < self.config.max_workers
-        ):
-            return "up"
-        if (
-            depth < self.config.scale_down_depth
-            and self.target_workers > self.config.min_workers
-            and len(alive) > self.config.min_workers
-        ):
-            return "down"
-        return None
-
-    def scale_down_victim(
-        self, alive: list[WorkerHandle]
-    ) -> WorkerHandle | None:
-        """Youngest *idle* worker, or ``None`` when every worker is busy.
-
-        A worker with requests in flight is never retired by scale-down
-        — retiring it would convert live requests into typed losses just
-        to save capacity the tier demonstrably still needs.
-        """
-        idle = [w for w in alive if w.inflight == 0]
-        if not idle:
-            return None
-        return max(idle, key=lambda w: w.started_at)
-
-    async def _scale_loop(self) -> None:
-        """Respawn the dead, watch the model, score brownouts, scale."""
-        interval = max(self.config.scale_interval_seconds, 0.01)
+    async def _watch_loop(self) -> None:
+        """Watch the model path and retry any respawn a boot failure left."""
         while not self._stopping:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(WATCH_INTERVAL_SECONDS)
             if self._stopping:
                 return
             if self.config.hot_reload:
                 self.check_reload()
             await self._ensure_capacity()
-            self._brownout_check()
-            await self._probe_brownouts()
-            alive = [
-                w for w in self.workers.values()
-                if not w.retiring and not w.browned_out
-            ]
-            plan = self.plan_scale(alive)
-            if plan == "up":
-                self.target_workers += 1
-                TELEMETRY.inc("serving.scale_up")
-                await self._ensure_capacity()
-            elif plan == "down":
-                victim = self.scale_down_victim(alive)
-                if victim is not None:
-                    self.target_workers -= 1
-                    TELEMETRY.inc("serving.scale_down")
-                    asyncio.ensure_future(self._retire_worker(victim))
-
-    # -- brownout routing ---------------------------------------------------
-
-    def _brownout_check(self) -> None:
-        """Pull the one clear latency outlier off the ring, alive.
-
-        A worker whose EWMA exceeds ``brownout_factor ×`` the fleet
-        median (and the absolute floor) stops receiving traffic but
-        keeps its process, connection, and per-client state; synthetic
-        ``healthz`` probes decide when it returns.  Killing is reserved
-        for wedged workers (the ``_forward`` timeout path).
-        """
-        if self.config.brownout_factor <= 0 or self._draining:
-            return
-        active = [
-            w for w in self.workers.values()
-            if not w.retiring and not w.closed and not w.browned_out
-        ]
-        # Never brown out below two active workers: shedding the last
-        # pair's slower half would halve capacity on a whim.
-        if len(active) < 2 or len(self.ring) < 2:
-            return
-        now = time.monotonic()
-        scored = [
-            w for w in active
-            if w.ewma_seconds is not None
-            and w.n_observed >= self.config.brownout_min_samples
-            and now - w.reinstated_at
-            >= self.config.brownout_cooldown_seconds
-        ]
-        if len(scored) < 2:
-            return
-        ewmas = sorted(w.ewma_seconds for w in scored)
-        median = ewmas[len(ewmas) // 2]
-        threshold = max(
-            self.config.brownout_floor_seconds,
-            self.config.brownout_factor * median,
-        )
-        worst = max(scored, key=lambda w: w.ewma_seconds)
-        if worst.ewma_seconds > threshold:
-            self._brownout(worst, threshold)
-
-    def _brownout(self, handle: WorkerHandle, threshold: float) -> None:
-        if handle.name in self.ring:
-            self.ring.remove(handle.name)
-            self.n_rebalanced += 1
-            TELEMETRY.inc("serving.rebalanced")
-        handle.browned_out = True
-        handle.probe_successes = 0
-        handle.brownout_threshold = threshold
-        self.n_brownouts += 1
-        TELEMETRY.inc("serving.brownouts")
-
-    async def _probe_brownouts(self) -> None:
-        """One synthetic ``healthz`` per browned-out worker per tick."""
-        for handle in list(self.workers.values()):
-            if not handle.browned_out or handle.retiring or handle.closed:
-                continue
-            request = parse_request_line(
-                json.dumps({"id": f"__probe_{handle.name}", "op": "healthz"})
-            )
-            probe_at = time.monotonic()
-            response = await self._forward(handle, request, new_trace_id())
-            elapsed = time.monotonic() - probe_at
-            healthy = (
-                isinstance(response, dict)
-                and response.get("status") == "ok"
-                and response.get("state") == "ok"
-                and elapsed <= max(
-                    handle.brownout_threshold,
-                    self.config.brownout_floor_seconds,
-                )
-            )
-            if not healthy:
-                handle.probe_successes = 0
-                continue
-            handle.probe_successes += 1
-            if handle.probe_successes >= max(self.config.brownout_probes, 1):
-                self._reinstate(handle)
-
-    def _reinstate(self, handle: WorkerHandle) -> None:
-        handle.browned_out = False
-        handle.probe_successes = 0
-        # Recovery is judged on fresh evidence, not the degraded EWMA.
-        handle.ewma_seconds = None
-        handle.n_observed = 0
-        handle.reinstated_at = time.monotonic()
-        if handle.name not in self.ring:
-            self.ring.add(handle.name)
-            self.n_rebalanced += 1
-            TELEMETRY.inc("serving.rebalanced")
-        self.n_reinstated += 1
-        TELEMETRY.inc("serving.reinstated")
 
     def kill_worker(self, name: str | None = None) -> str | None:
         """SIGKILL one alive worker (chaos hook); returns its name."""
-        candidates = sorted(
-            w for w in self.workers if not self.workers[w].retiring
-        )
-        if name is None and candidates:
-            name = candidates[0]
+        if name is None and self.workers:
+            name = min(self.workers)
         handle = self.workers.get(name) if name else None
         if handle is None:
             return None
@@ -829,7 +588,7 @@ class ServingTier:
             except LookupError:
                 name = None
             handle = self.workers.get(name) if name is not None else None
-            if handle is not None and not handle.retiring and not handle.closed:
+            if handle is not None and not handle.closed:
                 with TELEMETRY.span(
                     "serving.route",
                     trace=trace_id,
@@ -907,12 +666,7 @@ class ServingTier:
             if name == primary.name:
                 continue
             handle = self.workers.get(name)
-            if (
-                handle is not None
-                and not handle.retiring
-                and not handle.closed
-                and not handle.browned_out
-            ):
+            if handle is not None and not handle.closed:
                 return handle
         return None
 
@@ -1003,7 +757,6 @@ class ServingTier:
         ).encode("utf-8")
         loop = asyncio.get_running_loop()
         pend = _Pending(loop.create_future(), request.op, request.id)
-        sent_at = time.monotonic()
         async with handle.lock:
             if handle.closed:
                 return None
@@ -1020,23 +773,18 @@ class ServingTier:
             pass  # the reader loop flushes `pend` with a typed response
         timeout = self.config.request_timeout_seconds
         try:
-            response = await asyncio.wait_for(
+            return await asyncio.wait_for(
                 asyncio.shield(pend.future), timeout if timeout > 0 else None
             )
         except asyncio.TimeoutError:
             self.n_timeouts += 1
             TELEMETRY.inc("serving.worker_timeout")
             handle.kill()  # reader EOF will flush `pend` with worker_lost
-            response = await pend.future
-        handle.note_latency(time.monotonic() - sent_at)
-        return response
+            return await pend.future
 
     async def _fanout(self, op: str) -> dict[str, dict]:
         """Send one tier op to every alive worker; gather by name."""
-        handles = [
-            w for w in self.workers.values()
-            if not w.retiring and not w.closed
-        ]
+        handles = [w for w in self.workers.values() if not w.closed]
         if not handles:
             return {}
 
@@ -1123,12 +871,6 @@ class ServingTier:
             },
             "serving.deadline_exceeded": {
                 "type": "counter", "value": float(self.n_deadline_exceeded),
-            },
-            "serving.brownouts": {
-                "type": "counter", "value": float(self.n_brownouts),
-            },
-            "serving.reinstated": {
-                "type": "counter", "value": float(self.n_reinstated),
             },
             "serving.draining_rejected": {
                 "type": "counter", "value": float(self.n_draining_rejected),
@@ -1241,9 +983,9 @@ class ServingTier:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Boot the initial fleet and the autoscale loop."""
+        """Boot the fleet and the watch loop."""
         await self._ensure_capacity()
-        self._scale_task = asyncio.ensure_future(self._scale_loop())
+        self._watch_task = asyncio.ensure_future(self._watch_loop())
 
     async def stop(self) -> None:
         """Stop routing, shut every worker down, reap the fleet."""
@@ -1251,8 +993,8 @@ class ServingTier:
             return
         self._stopped = True
         self._stopping = True
-        if self._scale_task is not None:
-            self._scale_task.cancel()
+        if self._watch_task is not None:
+            self._watch_task.cancel()
         if self._drain_task is not None and not self._drain_task.done():
             self._drain_task.cancel()
         for handle in list(self.workers.values()):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.deploy import FrozenSelector, _rebuild_pipeline, freeze
+from repro.core.deploy import FrozenSelector, freeze, rebuild_pipeline
 from repro.core.semisupervised import ClusterFormatSelector
 
 
@@ -67,7 +67,7 @@ def test_freeze_requires_labeled_selector(tiny_data):
 
 def test_rebuilt_pipeline_equivalent(frozen_pair):
     _, frozen, ds = frozen_pair
-    pipe = _rebuild_pipeline(frozen)
+    pipe = rebuild_pipeline(frozen)
     np.testing.assert_allclose(
         pipe.transform_features(ds.X), frozen.transform(ds.X), atol=1e-12
     )

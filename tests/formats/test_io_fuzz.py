@@ -164,6 +164,27 @@ def test_distinct_entries_stay_distinct_past_int64_keys(streaming):
     assert matrix.vals.tolist() == [1.0, 2.0]
 
 
+EXTRA_FIELD_BODIES = {
+    "real": "2 2 1\n1 2 0.5 7\n",
+    "integer": "2 2 1\n1 2 3 4\n",
+    "pattern": "2 2 1\n1 2 9.5\n",
+}
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["memory", "stream"])
+@pytest.mark.parametrize("field", sorted(EXTRA_FIELD_BODIES))
+def test_entry_line_with_an_extra_field_rejected(streaming, field):
+    """An entry line holds exactly its field's width of tokens."""
+    text = BANNER.replace("real", field) + EXTRA_FIELD_BODIES[field]
+    with pytest.raises(MatrixMarketError) as err:
+        if streaming:
+            list(read_matrix_market_streaming(io.StringIO(text)))
+        else:
+            read_matrix_market(io.StringIO(text))
+    assert err.value.code == "bad_entry"
+    assert EXTRA_FIELD_BODIES[field].splitlines()[1] in str(err.value)
+
+
 def test_negative_indices_rejected():
     assert _code_of(BANNER + "4 4 1\n-1 2 1.0\n") == "index_out_of_range"
     assert _code_of(BANNER + "4 4 1\n0 2 1.0\n") == "index_out_of_range"

@@ -1,7 +1,9 @@
 """Slice-at-a-time MatrixMarket entry parsing ≡ the per-line loop (DESIGN §13).
 
 The oracle below is a compact copy of the reader as it parsed entries
-before batching: every entry line stripped, split, converted with
+before batching: every entry line stripped, split, checked for its
+field count (2 tokens for ``pattern``, 3 otherwise; the one change
+since, made to the reader's loop and here alike), converted with
 ``int``/``int``/``float`` and checked for count, range and finiteness
 in file order, one line at a time.  The reader under test converts a
 slice of entry text at once when the slice certifies and hands any
@@ -89,10 +91,12 @@ def oracle_read(lines, policy: ReadPolicy):
             )
         toks = stripped.split()
         try:
+            if len(toks) != (2 if field == "pattern" else 3):
+                raise ValueError("wrong number of fields")
             r = int(toks[0]) - 1
             c = int(toks[1]) - 1
             v = 1.0 if field == "pattern" else float(toks[2])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise MatrixMarketError(
                 f"malformed entry line: {stripped!r}", code="bad_entry"
             ) from exc

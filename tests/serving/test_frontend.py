@@ -10,6 +10,8 @@ Covers the tier contracts the single-process suite cannot:
   its in-flight requests (no hangs), a respawn, and counters that
   reconcile: ``routed == completed + worker_lost``.
 - ``metrics`` / ``healthz`` aggregate across workers.
+- Every line the front-end refuses itself is counted once in
+  ``n_invalid``, and the tier audit reports a count that is off by one.
 - A request line longer than asyncio's 64 KiB default stream limit
   gets a typed answer, never a dropped connection.
 
@@ -31,6 +33,7 @@ import pytest
 import repro
 from repro.serving.drill import (
     _random_matrix_text,
+    audit_tier_conservation,
     build_request_lines,
     synthetic_frozen_selector,
     tier_expectations,
@@ -189,8 +192,58 @@ def test_two_worker_tier_answers_hostile_drill_and_aggregates(
     assert len(healthz["worker_states"]) == 2
     assert set(healthz["worker_states"].values()) == {"ok"}
 
-    # Conservation: every ring-routed request is accounted for.
+    # Conservation: every ring-routed request is accounted for, and
+    # every line the front-end refused itself is counted once.
     assert tier.n_routed == tier.n_completed + tier.n_worker_lost
+    assert tier.n_invalid >= 1
+    assert audit_tier_conservation(tier, lines) == []
+
+
+def test_tier_audit_reports_an_invalid_count_off_by_one(
+    model_path, tmp_path
+):
+    """``n_invalid`` must equal the lines the front-end's parse refuses."""
+    tier = ServingTier(
+        TierConfig(
+            model_path=model_path,
+            run_dir=str(tmp_path / "run"),
+            max_request_bytes=64,
+        )
+    )
+    at_cap = json.dumps({"id": "c", "op": "health", "pad": ""})
+    at_cap = at_cap[:-2] + "x" * (64 - len(at_cap)) + '"}'
+    assert len(at_cap) == 64  # its newline takes it over the cap
+    lines = [
+        "{broken json",
+        "",
+        "   ",
+        json.dumps({"id": "u", "op": "transmogrify"}),
+        "[1]",
+        "x" * 100,  # over the stream limit: discarded, then answered
+        at_cap,
+    ]
+
+    async def scenario():
+        reader = asyncio.StreamReader(limit=tier._stream_limit)
+        reader.feed_data("".join(line + "\n" for line in lines).encode())
+        reader.feed_eof()
+        responses = []
+        while True:
+            response = await tier._next_response(reader, "conn:1")
+            if response is None:
+                return responses
+            responses.append(response)
+
+    responses = asyncio.run(scenario())
+    assert [r["status"] for r in responses] == [STATUS_INVALID] * 5
+    assert tier.n_invalid == 5
+    assert audit_tier_conservation(tier, lines) == []
+    tier.n_invalid += 1
+    (violation,) = audit_tier_conservation(tier, lines)
+    assert violation.startswith("invalid conservation: invalid=6 != 5")
+    tier.n_invalid -= 2
+    (violation,) = audit_tier_conservation(tier, lines)
+    assert violation.startswith("invalid conservation: invalid=4 != 5")
 
 
 def test_tier_audit_report_prints_no_unmeasured_p99():
@@ -312,16 +365,6 @@ def test_worker_keeps_serving_past_a_bitflipped_store_version(
     assert model["degraded"] is False
     assert model["quarantined"] == 1
     assert model["fallbacks"] == 0
-
-
-def test_tier_config_worker_bounds_default_to_workers():
-    config = TierConfig(model_path="m.npz", run_dir="/tmp/x", workers=3)
-    assert config.min_workers == 3 and config.max_workers == 3
-    scaled = TierConfig(
-        model_path="m.npz", run_dir="/tmp/x", workers=2,
-        workers_min=1, workers_max=4,
-    )
-    assert scaled.min_workers == 1 and scaled.max_workers == 4
 
 
 # -- stream line limit -------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.serving.protocol import (
     ok_response,
     parse_request_line,
 )
+from repro.serving.server import SelectorServer, ServingConfig
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
 
@@ -72,6 +73,18 @@ def test_strict_policy_applied_inline(gateway):
     assert _code(gateway, {"mtx": nan}) == "nonfinite_value"
     assert _code(gateway, {"mtx": dup}) == "duplicate_entry"
     assert _code(gateway, {"mtx": huge}) == "too_large"
+
+
+def test_predict_with_an_extra_entry_field_is_invalid(model_path):
+    """An entry line with a fourth field is ``bad_entry``, not an entry."""
+    server = SelectorServer(ServingConfig(model_path=model_path))
+    body = BANNER + "2 2 1\n1 2 0.5 7\n"
+    response = server.handle_line(
+        json.dumps({"id": "x", "op": "predict", "mtx": body})
+    )
+    assert response["status"] == "invalid"
+    assert response["code"] == "bad_entry"
+    assert response["id"] == "x"
 
 
 def test_zero_nnz_matrix_features_guarded(gateway):

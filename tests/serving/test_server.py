@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import select
 import socket
 import threading
 import time
@@ -401,6 +402,46 @@ def test_serve_socket_outlives_a_client_that_hangs_up(
     assert not thread.is_alive()
     assert after["id"] == "after" and after["status"] == "ok"
     assert last["op"] == "shutdown"
+
+
+def test_serve_socket_serves_one_connection_at_a_time(
+    model_path, fake_clock, tmp_path
+):
+    """A second client waits, unanswered, until the first hangs up.
+
+    By design (DESIGN §10): a tier worker has exactly one client, the
+    front-end's multiplexed connection, and concurrency across clients
+    is what ``--workers N`` is for.  No clock is read: the order of
+    answers alone shows the serial accept loop.
+    """
+    server = make_server(model_path, fake_clock)
+    path = str(tmp_path / "s.sock")
+    thread = serve_socket_in_thread(server, path)
+    try:
+        with connect(path) as a, a.makefile("rb") as replies_a:
+            a.sendall(b'{"id": "a1", "op": "health"}\n')
+            a1 = json.loads(replies_a.readline())
+            b = connect(path)  # queued in the listen backlog
+            b.sendall(b'{"id": "b1", "op": "health"}\n')
+            # A's later lines are answered in turn; each round trip is a
+            # chance for a server that served B alongside A to answer it.
+            later = []
+            for k in range(2, 102):
+                a.sendall(f'{{"id": "a{k}", "op": "health"}}\n'.encode())
+                later.append(json.loads(replies_a.readline())["id"])
+            readable, _, _ = select.select([b], [], [], 0)
+        with b, b.makefile("rb") as replies_b:
+            b1 = json.loads(replies_b.readline())
+            b.sendall(b'{"id": "s", "op": "shutdown"}\n')
+            last = json.loads(replies_b.readline())
+    finally:
+        thread.join(timeout=30)
+    assert a1["id"] == "a1"
+    assert later == [f"a{k}" for k in range(2, 102)]
+    assert readable == [], "B was answered while A's connection was open"
+    assert b1["id"] == "b1" and b1["status"] == "ok"
+    assert last["op"] == "shutdown"
+    assert not thread.is_alive()
 
 
 def test_drill_contract_holds_under_hostile_traffic(model_path, fake_clock):

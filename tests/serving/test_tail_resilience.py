@@ -1,6 +1,6 @@
-"""Tail-latency resilience: deadlines, hedging, brownout, drain (§15).
+"""Tail-latency resilience: deadlines, hedging, drain (§15).
 
-The four mechanisms under test share one accounting contract — all
+The three mechanisms under test share one accounting contract — all
 routed/completed/worker_lost bookkeeping happens once per *logical*
 request in ``ServingTier._route``, so the conservation laws
 
@@ -20,7 +20,6 @@ import asyncio
 import json
 import math
 import os
-import time
 
 import pytest
 
@@ -40,7 +39,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.routing import HashRing
 from repro.serving.server import SelectorServer, ServingConfig
-from tests.serving.test_frontend import _boot_tier, _ops
+from tests.serving.test_frontend import _boot_tier
 
 
 def _tier(tmp_path, model_path, **overrides) -> ServingTier:
@@ -252,9 +251,7 @@ def test_hedge_token_bucket_caps_burst(tmp_path, model_path):
     assert tier._hedge_tokens == pytest.approx(tier._hedge_burst)
 
 
-def test_hedge_target_skips_primary_browned_and_retiring(
-    tmp_path, model_path
-):
+def test_hedge_target_skips_primary_and_closed(tmp_path, model_path):
     tier = _tier(tmp_path, model_path)
     handles = {n: _fake_worker(tier, n) for n in ("w0", "w1", "w2")}
     key = "client:tenant-7"
@@ -262,10 +259,10 @@ def test_hedge_target_skips_primary_browned_and_retiring(
     primary = handles[order[0]]
     target = tier._hedge_target(key, primary)
     assert target is handles[order[1]]
-    target.browned_out = True
+    target.closed = True
     third = tier._hedge_target(key, primary)
     assert third is handles[order[2]]
-    third.retiring = True
+    third.closed = True
     assert tier._hedge_target(key, primary) is None
 
 
@@ -399,111 +396,6 @@ def test_both_branches_lost_surfaces_typed_loss(tmp_path, model_path):
     assert tier.n_worker_lost == 1 and tier.n_completed == 0
     assert tier.n_routed == 1
     assert not audit_tier_conservation(tier)
-
-
-# -- brownout routing ----------------------------------------------------------
-
-
-def _scored(handle: WorkerHandle, ewma: float, samples: int = 32) -> None:
-    handle.ewma_seconds = ewma
-    handle.n_observed = samples
-
-
-def test_brownout_pulls_latency_outlier_off_ring(tmp_path, model_path):
-    tier = _tier(
-        tmp_path, model_path,
-        brownout_factor=4.0, brownout_cooldown_seconds=0.0,
-    )
-    handles = {n: _fake_worker(tier, n) for n in ("w0", "w1", "w2")}
-    _scored(handles["w0"], 0.002)
-    _scored(handles["w1"], 0.003)
-    _scored(handles["w2"], 0.500)
-    tier._brownout_check()
-    assert handles["w2"].browned_out
-    assert "w2" not in tier.ring
-    assert "w2" in tier.workers, "brownout must not kill the worker"
-    assert tier.n_brownouts == 1
-    # The survivors stay routable.
-    assert set(tier.ring.workers) == {"w0", "w1"}
-
-
-def test_uniformly_fast_fleet_never_browns_out(tmp_path, model_path):
-    tier = _tier(
-        tmp_path, model_path,
-        brownout_factor=4.0, brownout_floor_seconds=0.005,
-        brownout_cooldown_seconds=0.0,
-    )
-    handles = {n: _fake_worker(tier, n) for n in ("w0", "w1")}
-    # 4x spread, but both far under the absolute floor.
-    _scored(handles["w0"], 0.0002)
-    _scored(handles["w1"], 0.0009)
-    tier._brownout_check()
-    assert not any(h.browned_out for h in handles.values())
-    assert tier.n_brownouts == 0
-
-
-def test_brownout_requires_two_active_and_samples(tmp_path, model_path):
-    tier = _tier(
-        tmp_path, model_path,
-        brownout_factor=4.0, brownout_cooldown_seconds=0.0,
-    )
-    solo = _fake_worker(tier, "w0")
-    _scored(solo, 5.0)
-    tier._brownout_check()
-    assert not solo.browned_out, "browned out the only worker"
-
-    fresh = _fake_worker(tier, "w1")
-    _scored(fresh, 9.0, samples=1)  # under brownout_min_samples
-    tier._brownout_check()
-    assert not fresh.browned_out, "trusted an unwarmed EWMA"
-
-
-def test_reinstate_restores_ring_and_resets_evidence(tmp_path, model_path):
-    tier = _tier(tmp_path, model_path, brownout_cooldown_seconds=0.0)
-    handles = {n: _fake_worker(tier, n) for n in ("w0", "w1", "w2")}
-    _scored(handles["w0"], 0.002)
-    _scored(handles["w1"], 0.003)
-    _scored(handles["w2"], 0.900)
-    tier._brownout_check()
-    assert handles["w2"].browned_out
-    tier._reinstate(handles["w2"])
-    assert not handles["w2"].browned_out
-    assert "w2" in tier.ring
-    assert handles["w2"].ewma_seconds is None, "stale EWMA survived"
-    assert handles["w2"].n_observed == 0
-    assert tier.n_reinstated == 1
-
-
-def test_probes_reinstate_after_consecutive_healthy(tmp_path, model_path):
-    async def scenario():
-        tier = _tier(tmp_path, model_path, brownout_probes=3)
-        handle = _fake_worker(tier, "w0")
-        _fake_worker(tier, "w1")
-        tier.ring.remove("w0")
-        handle.browned_out = True
-        handle.brownout_threshold = 0.5
-        probe_states = iter(["ok", "ok", "degraded", "ok", "ok", "ok"])
-
-        async def fake_forward(h, request, trace_id, deadline=None):
-            return {"status": "ok", "id": request.id,
-                    "state": next(probe_states)}
-
-        tier._forward = fake_forward
-        streaks = []
-        for _ in range(6):
-            await tier._probe_brownouts()
-            streaks.append(handle.probe_successes)
-            if not handle.browned_out:
-                break
-        return tier, handle, streaks
-
-    tier, handle, streaks = asyncio.run(scenario())
-    # Two healthy probes, a degraded one resetting the streak, then the
-    # three consecutive ones the contract requires.
-    assert streaks[:3] == [1, 2, 0]
-    assert not handle.browned_out
-    assert "w0" in tier.ring
-    assert tier.n_reinstated == 1
 
 
 # -- graceful drain ------------------------------------------------------------

@@ -417,6 +417,16 @@ class TestServeCommand:
         assert first["reason"] == "model_unusable"
         assert first["format"] == "csr"
 
+    @pytest.mark.parametrize(
+        "flag", [["--workers-min", "1"], ["--workers-max", "4"]]
+    )
+    def test_serve_has_no_autoscale_bounds(self, tmp_path, capsys, flag):
+        """The tier is a fixed fleet of ``--workers``; no bound is parsed."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--model", str(tmp_path / "m.npz"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestChaosServe:
     def test_chaos_serve_drill_passes_and_verifies(self, capsys):

@@ -57,9 +57,10 @@ class COOMatrix(SparseMatrix):
                 f"COO triple lengths differ: {rows.shape}, {cols.shape}, {vals.shape}"
             )
         if rows.size:
-            if rows.min(initial=0) < 0 or rows.max(initial=0) >= self.shape[0]:
+            # Read unsigned, a negative index is past every dimension.
+            if np.maximum.reduce(rows.view(np.uint64)) >= self.shape[0]:
                 raise FormatError("COO row index out of range")
-            if cols.min(initial=0) < 0 or cols.max(initial=0) >= self.shape[1]:
+            if np.maximum.reduce(cols.view(np.uint64)) >= self.shape[1]:
                 raise FormatError("COO column index out of range")
         self.rows, self.cols, self.vals = _canonicalise(rows, cols, vals)
 
@@ -156,12 +157,25 @@ def _check_perm(perm: np.ndarray, n: int, kind: str) -> np.ndarray:
 def _canonicalise(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort triples row-major and sum duplicates."""
+    """Sort triples row-major and sum duplicates.
+
+    Triples already in row-major order (rows never decrease, columns
+    never decrease within a row) skip the sort: a stable sort of sorted
+    keys is the identity, so duplicates merge in input order either
+    way.  The result never aliases the caller's arrays.
+    """
     if rows.size == 0:
         return rows, cols, vals
-    # Row-major order: lexsort's last key is primary.
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    same_row = rows[1:] == rows[:-1]
+    if not (
+        np.count_nonzero(rows[1:] < rows[:-1])
+        or np.count_nonzero(same_row & (cols[1:] < cols[:-1]))
+    ):
+        rows, cols, vals = rows.copy(), cols.copy(), vals.copy()
+    else:
+        # Row-major order: lexsort's last key is primary.
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
     # Collapse duplicates (same row and col) by summation.  Rows and
     # columns are compared apart: a packed key ``row * ncols + col``
     # wraps once ``nrows * ncols`` passes int64 and merges distinct

@@ -20,9 +20,11 @@ behaviour (duplicates summed, non-finite values kept).
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import mmap
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
@@ -136,9 +138,7 @@ def read_matrix_market(
     share a coordinate.  A read that holds a duplicate sorts its
     coordinates once more, to name the first one as the stream would.
     """
-    stream = read_matrix_market_streaming(
-        source, replace(policy, duplicates="sum")
-    )
+    stream = read_matrix_market_streaming(source, _summing(policy))
     header = next(stream)
     rows, cols, vals = _concat_blocks(list(stream))
     reject = policy.duplicates == "reject"
@@ -149,6 +149,12 @@ def read_matrix_market(
         # Only a general file gets here: its stored entries merged.
         _check_duplicates(rows, cols)
     return matrix
+
+
+@functools.lru_cache(maxsize=8)
+def _summing(policy: ReadPolicy) -> ReadPolicy:
+    """``policy`` with duplicates summed (one instance per policy)."""
+    return replace(policy, duplicates="sum")
 
 
 def read_matrix_market_streaming(
@@ -560,6 +566,118 @@ def _parse_lines(
     )
 
 
+# -- certified slices -------------------------------------------------------
+#
+# A slice is certified and converted without cutting it into tokens: its
+# bytes are classified once, the classes of its non-digit bytes and the
+# byte after each are checked against a table of the triples a canonical
+# line may hold, and every field is parsed by one int64 parse.  DESIGN
+# section 13 states the rules and why they equal the per-line loop.
+
+#: Byte classes.  Digits are 0 (1-9) and 1 (0); every other byte is one
+#: of six classes whose values make ``prev + 6 * cur + after`` distinct
+#: for every triple, where ``prev`` and ``cur`` are the classes of two
+#: consecutive non-digit bytes and ``after`` is the class of the byte
+#: after ``prev``: 0 or 1 when a digit follows, ``cur`` when ``cur`` does.
+_SPACE, _EXP, _NEWLINE, _SIGN, _DOT, _OTHER = 2, 5, 8, 11, 14, 17
+_CLASSES = bytes(
+    _SPACE if b == 32 else _NEWLINE if b == 10 else _EXP if b in b"eE"
+    else _SIGN if b in b"+-" else _DOT if b == 46
+    else 1 if b == 48 else 0 if 49 <= b <= 57 else _OTHER
+    for b in range(256)
+)
+
+#: Role flags of a triple.  A ``_HEAD`` triple may not be followed by a
+#: ``_TAIL`` triple, nor a ``_COLUMN`` triple by another: for role bytes
+#: ``t``, ``(t[:-1] >> 1) & t[1:]`` is nonzero exactly there.
+_FREE, _HEAD, _TAIL, _COLUMN = 64, 2, 1, 24
+
+#: The triples a certified line may hold: the class of a non-digit byte,
+#: what follows it ("1": a digit 1-9, "0": a zero, "-": the next
+#: non-digit itself) and the class of the next non-digit byte, with its
+#: role.  Index fields are digits with no leading zero; a value is
+#: ``[+-]digits[.digits][(e|E)[+-]digits]`` with a mantissa digit.
+_PATTERN_TRIPLES = (
+    (_NEWLINE, "1", _SPACE, _FREE),   # row index
+    (_SPACE, "1", _NEWLINE, _FREE),   # column index
+)
+_REAL_TRIPLES = (
+    # A row index must be followed by the column index, so each line
+    # holds both spaces before its value; a second column is refused.
+    (_NEWLINE, "1", _SPACE, _HEAD),
+    (_SPACE, "1", _SPACE, _COLUMN),
+    # The value begins; none of these may follow a row index.
+    (_SPACE, "10", _NEWLINE, _TAIL),
+    (_SPACE, "-", _SIGN, _TAIL),
+    (_SPACE, "10", _DOT, _TAIL),
+    (_SPACE, "-", _DOT, _TAIL | _HEAD),   # ".5": a digit must follow
+    (_SPACE, "10", _EXP, _TAIL),
+    # After a mantissa sign; a sign after an exponent marker (a head)
+    # may only be followed by digits and the newline.
+    (_SIGN, "10", _DOT, _TAIL),
+    (_SIGN, "-", _DOT, _TAIL | _HEAD),
+    (_SIGN, "10", _EXP, _TAIL),
+    (_SIGN, "10", _NEWLINE, _FREE),
+    # After the dot; with no digit on either side it is refused.
+    (_DOT, "10", _EXP, _FREE),
+    (_DOT, "10", _NEWLINE, _FREE),
+    (_DOT, "-", _EXP, _TAIL),
+    (_DOT, "-", _NEWLINE, _TAIL),
+    # The exponent.
+    (_EXP, "-", _SIGN, _HEAD),
+    (_EXP, "10", _NEWLINE, _FREE),
+)
+
+
+def _role_table(triples: tuple) -> bytes:
+    """A ``bytes.translate`` table from triple codes to role bytes (0:
+    not allowed)."""
+    table = bytearray(256)
+    for prev, after, cur, role in triples:
+        for kind in after:
+            table[prev + 6 * cur + {"1": 0, "0": 1}.get(kind, cur)] = role
+    return bytes(table)
+
+
+_ROLES = {2: _role_table(_PATTERN_TRIPLES), 3: _role_table(_REAL_TRIPLES)}
+#: What deleting the field bytes leaves of a canonical line.
+_LAYOUT = {2: b" \n", 3: b"  \n"}
+_SPLIT_EXPONENTS = bytes.maketrans(b"eE", b"  ")
+
+#: ``(times, over)`` scale factors indexed by ``q + 28``, clipped to
+#: [0, 56]: a value is ``w * times / over``.  Powers up to 10**27 are
+#: exact in x87 extended precision; the ends stand for ``|q| > 27`` and
+#: scale by 0.
+_SCALE = np.array(
+    [(0, 1)]
+    + [(1, 10**k) for k in range(27, 0, -1)]
+    + [(10**k, 1) for k in range(28)]
+    + [(0, 1)],
+    dtype=np.longdouble,
+)
+_I64_MAX = np.uint64(2**63 - 1)
+
+
+def _extended_precision() -> bool:
+    """Whether ``np.longdouble`` is x87 extended precision in effect.
+
+    The value rule needs a 64-bit significand whose low word comes
+    first, and arithmetic that rounds to it: an x87 unit set to double
+    precision reports the format but rounds to 53 bits, which
+    ``(2**31 + 1)**2`` exposes.
+    """
+    if np.finfo(np.longdouble).nmant != 63 or sys.byteorder != "little":
+        return False
+    a = np.longdouble(2**31 + 1)
+    return bool(a * a - np.longdouble(2**62) == np.longdouble(2**32 + 1))
+
+
+#: Without it every value of a certified slice is read with ``float``.
+_EXTENDED = _extended_precision()
+#: 32-bit words per ``np.longdouble``; the first holds the low bits.
+_WORDS = np.dtype(np.longdouble).itemsize // 4
+
+
 def _convert_slice(
     text: str,
     width: int,
@@ -570,68 +688,137 @@ def _convert_slice(
 ) -> COOBlock | None:
     """The entries of the slice ``text`` converted at once, or ``None``.
 
-    The slice certifies when it is ASCII; every line is ``width``
-    non-empty fields of bytes from :data:`_FIELD_BYTES` joined by single
-    spaces; it holds at most ``left`` lines, the entries the declared
-    nnz still allows; the index fields are digits without a leading
-    zero; every index is in range; and, unless ``allow_nonfinite``,
+    The slice certifies when it is ASCII; every line is ``width`` fields
+    joined by single spaces, index fields of digits without a leading
+    zero and, unless ``width`` is 2, a value
+    ``[+-]digits[.digits][(e|E)[+-]digits]`` with a mantissa digit; it
+    holds at most ``left`` lines, the entries the declared nnz still
+    allows; every index is in range; and, unless ``allow_nonfinite``,
     every value is finite.  A slice is cut after a newline (the last of
     a stream may lack it), so its lines are its ``"\\n"``-separated
     pieces, which is how the per-line loop would cut them, and that
     loop accepts each line with exactly these entries: digit fields
-    parse to the integers ``int`` gives, values are ``float`` of the
-    same tokens.  Anything else returns ``None`` and is left to that
-    loop, errors included.
+    parse to the integers ``int`` gives, and values equal ``float`` of
+    the same tokens bit for bit.  Anything else returns ``None`` and is
+    left to that loop, errors included.
     """
-    # Deleting the field bytes must leave the separators of n canonical
-    # lines, and one token per field means no field is empty.  The first
-    # line is tried alone first, which keeps a failed attempt on a
-    # non-canonical body (tabs, comments) down to one line's work.
-    separators = b" " * (width - 1) + b"\n"
+    # The first line is tried alone first, which keeps a failed attempt
+    # on a non-canonical body (tabs, comments) down to one line's work.
     first = text[: text.find("\n") + 1] or text
     if not first.isascii() or (
-        first.encode("ascii").translate(None, _FIELD_BYTES) != separators
+        first.encode("ascii").translate(None, _FIELD_BYTES) != _LAYOUT[width]
     ):
         return None
     if not text.isascii():
         return None
-    data = text.encode("ascii")
+    # A leading newline gives the first line the start every line has.
+    data = b"\n" + text.encode("ascii")
     if not data.endswith(b"\n"):
         data += b"\n"
-    layout = data.translate(None, _FIELD_BYTES)
-    n = len(layout) // width
-    if n > left or layout != separators * n:
+    classes = np.frombuffer(data.translate(_CLASSES), dtype=np.uint8)
+    pos = (classes > 1).nonzero()[0]
+    kc = classes[pos]
+    code = kc[1:] * 6
+    code += kc[:-1]
+    code += classes[1:][pos[:-1]]
+    roles = code.tobytes().translate(_ROLES[width])
+    if 0 in roles:
         return None
-    tokens = data.split()
-    if len(tokens) != n * width:
+    role = np.frombuffer(roles, dtype=np.uint8)
+    clash = role[:-1] >> 1
+    clash &= role[1:]
+    if np.count_nonzero(clash):
         return None
-    # Index fields: digits without a leading zero, so every index is at
-    # least 1 and, below 10**18, at most 18 digits long — exact for
-    # NumPy's C parser and within the digit limit of ``int``.
-    digits = b" ".join(tokens[0::width] + tokens[1::width])
-    if (
-        digits.translate(None, b"0123456789 ")
-        or digits.startswith(b"0")
-        or b" 0" in digits
-    ):
+    # Each line now holds exactly its fields.  ``ends[i]`` is the
+    # position in ``kc`` just before line i's newline.
+    ends = (kc[1:] == _NEWLINE).nonzero()[0]
+    n = ends.size
+    if n > left:
         return None
-    index = np.fromstring(digits, dtype=INDEX_DTYPE, sep=" ").reshape(2, n)
-    top = index.max(axis=1)
-    if top[0] > min(nrows, _MAX_INDEX) or top[1] > min(ncols, _MAX_INDEX):
+    # Every field, with its dot deleted and its exponent split off.
+    ints = np.fromstring(
+        data.translate(_SPLIT_EXPONENTS, b"."), dtype=INDEX_DTYPE, sep=" "
+    )
+    fields, ragged = divmod(ints.size, n)
+    if not ragged:
+        # Every line holds the same fields: 2, 3, or 4 with an exponent.
+        tok = ints.reshape(n, fields)
+        index = np.subtract(tok[:, :2].T, 1, order="C")
+    else:
+        # Some lines carry an exponent: find each line's fields from the
+        # separators (space, exponent marker, newline) that end them.
+        stop = (kc[1:] < _SIGN).nonzero()[0]
+        stop += 1
+        last = (kc[stop] == _NEWLINE).nonzero()[0]
+        has_exp = kc[stop[last - 1]] == _EXP
+        mantissa = last - has_exp
+        index = ints[np.add.outer((-2, -1), mantissa)]
+        index -= 1
+    top_row, top_col = np.maximum.reduce(index, axis=1).tolist()
+    if top_row >= min(nrows, _MAX_INDEX) or top_col >= min(ncols, _MAX_INDEX):
         return None
     if width == 2:
-        vals = np.ones(n, dtype=VALUE_DTYPE)
+        return COOBlock(index[0], index[1], np.ones(n, dtype=VALUE_DTYPE))
+    # Digits after each dot: the gap to the next non-digit, which ends
+    # the mantissa.  ``before`` holds, per line, the non-digit just
+    # before the mantissa's end.
+    digits = pos[1:] - pos[:-1]
+    digits -= 1
+    digits *= kc[:-1] == _DOT
+    if not ragged:
+        w = tok[:, 2]
+        before = (kc[1:] == _EXP).nonzero()[0] if fields == 4 else ends
+        scale = 28 - digits[before]
+        if fields == 4:
+            scale += tok[:, 3]
     else:
-        try:
-            vals = np.fromiter(
-                map(float, tokens[2::3]), dtype=VALUE_DTYPE, count=n
-            )
-        except ValueError:
+        w = ints[mantissa]
+        before = stop[mantissa] - 1
+        scale = 28 - digits[before]
+        scale += ints[last] * has_exp
+    if _EXTENDED:
+        vals, redo = _decimal_values(w, scale)
+    else:
+        vals, redo = np.empty(n, dtype=VALUE_DTYPE), np.arange(n)
+    if redo.size:
+        # Re-read with ``float``: the value field runs from after its
+        # line's second space to its newline.
+        newlines = (kc == _NEWLINE).nonzero()[0]
+        lo = pos[newlines[redo] + 2] + 1
+        hi = pos[newlines[redo + 1]]
+        vals[redo] = [float(data[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
+        if not allow_nonfinite and not np.isfinite(vals[redo]).all():
             return None
-        if not allow_nonfinite and not np.isfinite(vals).all():
-            return None
-    index -= 1  # MatrixMarket is 1-based
     return COOBlock(index[0], index[1], vals)
+
+
+def _decimal_values(
+    w: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``w * 10**(scale - 28)`` as float64, and the positions to re-read.
+
+    Each value is one ``np.longdouble`` multiplication or division of
+    exact operands (``|w| < 2**63``, powers of ten up to 10**27), so it
+    rounds once to 64 bits, and rounding that to 53 bits is the correctly
+    rounded value ``float`` gives unless the 64-bit result lies on a
+    float64 midpoint (low 11 bits ``0x400``).  Those values, zeros (the
+    sign of ``-0``), saturated significands (NumPy clamps an overflowing
+    parse) and ``|q| > 27`` are listed for a ``float`` re-read.  Needs
+    x87 extended precision (:data:`_EXTENDED`).
+    """
+    factors = _SCALE.take(scale, axis=0, mode="clip")
+    y = w * factors[:, 0]
+    y /= factors[:, 1]
+    vals = y.astype(VALUE_DTYPE)
+    redo = (y.view(np.uint32)[::_WORDS] & 0x7FF) == 0x400
+    # Zeros and |q| > 27 (scaled by 0) come out 0.0, saturated
+    # significands as +-(2**63 - 1) or -2**63; both are rare, so the
+    # whole slice is tested first.
+    size = np.abs(w).view(np.uint64)
+    if np.count_nonzero(vals) < vals.size or np.maximum.reduce(size) >= _I64_MAX:
+        redo |= vals == 0
+        redo |= size >= _I64_MAX
+    return vals, redo.nonzero()[0]
 
 
 def _check_duplicates(rows: np.ndarray, cols: np.ndarray) -> None:

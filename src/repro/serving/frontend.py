@@ -420,8 +420,10 @@ class ServingTier:
         Lost names are respawned first, and a respawned worker keeps its
         old ring position: the keys that moved off it while it was dead
         move back, and nothing else moves — the bounded-movement half of
-        the routing contract.  The lock keeps the reader-loop trigger
-        and the watch loop from double-spawning for one death.
+        the routing contract.  A name leaves the lost set only once its
+        boot succeeds, so the watch loop's retry after a failed boot
+        reuses it.  The lock keeps the reader-loop trigger and the watch
+        loop from double-spawning for one death.
         """
         if self._capacity_lock is None:
             self._capacity_lock = asyncio.Lock()
@@ -430,15 +432,13 @@ class ServingTier:
                 not self._stopping
                 and len(self.workers) < self.config.workers
             ):
-                name = None
-                if self._lost_names:
-                    name = sorted(self._lost_names)[0]
-                    self._lost_names.discard(name)
+                name = min(self._lost_names, default=None)
                 try:
                     await self._spawn_worker(name)
-                except TierError:  # pragma: no cover - boot env failure
+                except TierError:
                     return
                 if name is not None:
+                    self._lost_names.discard(name)
                     self.n_respawned += 1
                     TELEMETRY.inc("serving.respawned")
 

@@ -41,6 +41,55 @@ def test_distinct_entries_stay_distinct_past_int64_keys():
     assert coo.vals.tolist() == [1.0, 2.0]
 
 
+def _lexsorted(rows, cols, vals):
+    """The canonical triples by the sort every input once went through."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
+    summed = np.bincount(np.cumsum(first) - 1, weights=vals)
+    return rows[first], cols[first], summed
+
+
+def _triples(rng, n, order):
+    rows = rng.integers(0, 40, n)
+    cols = rng.integers(0, 30, n)
+    vals = rng.standard_normal(n)
+    if order != "unsorted":
+        keep = np.lexsort((cols, rows))
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if order == "sorted":
+        first = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
+        rows, cols, vals = rows[first], cols[first], vals[first]
+    return rows, cols, vals
+
+
+@pytest.mark.parametrize("order", ["sorted", "sorted-with-duplicates", "unsorted"])
+def test_canonical_bytes_equal_the_lexsort_path(order):
+    """Row-major input skips the sort; every input gives the bytes the
+    sort gives, duplicates summed in input order."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 500):
+        rows, cols, vals = _triples(rng, n, order)
+        coo = COOMatrix((40, 30), rows, cols, vals)
+        for got, want in zip((coo.rows, coo.cols, coo.vals), _lexsorted(rows, cols, vals)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if order == "sorted-with-duplicates":
+        assert coo.nnz < n
+
+
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_matrix_does_not_alias_its_input_arrays(order):
+    rows, cols, vals = _triples(np.random.default_rng(12), 50, order)
+    rows, cols, vals = rows.astype(np.int64), cols.astype(np.int64), vals.copy()
+    coo = COOMatrix((40, 30), rows, cols, vals)
+    kept = coo.rows.copy(), coo.cols.copy(), coo.vals.copy()
+    rows[:] = 0
+    cols[:] = 0
+    vals[:] = 7.0
+    for got, want in zip((coo.rows, coo.cols, coo.vals), kept):
+        assert np.array_equal(got, want)
+
+
 def test_out_of_range_indices_rejected():
     with pytest.raises(FormatError):
         COOMatrix((2, 2), rows=[2], cols=[0], vals=[1.0])

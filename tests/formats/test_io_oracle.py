@@ -395,6 +395,16 @@ def test_oracle_bodies_certify_and_fall_back():
     canonical = "1 2 0.5\n3 3 -1e-3\n"
     assert mmio._convert_slice(canonical, 3, 3, 3, 2, False) is not None
     assert mmio._convert_slice(canonical, 3, 3, 3, 1, False) is None  # count
+    # Exponent notation certifies: alone, on every line (MATLAB's
+    # %.16e), and mixed with plain values.
+    matlab = "".join(
+        f"{r} {c} {v:.16e}\n" for r, c, v in ((1, 2, -0.25), (3, 1, 1e-300))
+    )
+    for text in ("1 2 1.5e-05\n", matlab, canonical + matlab, "2 2 7E+2\n"):
+        block = mmio._convert_slice(text, 3, 3, 3, 4, False)
+        assert block is not None, text
+        values = [float(line.split()[2]) for line in text.splitlines()]
+        assert block.vals.tolist() == values, text
     for text in (
         "1 2 0.5\n% note\n",
         "1\t2 0.5\n",

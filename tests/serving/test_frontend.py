@@ -41,6 +41,7 @@ from repro.serving.drill import (
 from repro.serving.frontend import (
     ServingTier,
     TierConfig,
+    TierError,
     drive_tier,
     read_line,
 )
@@ -244,6 +245,37 @@ def test_tier_audit_reports_an_invalid_count_off_by_one(
     tier.n_invalid -= 2
     (violation,) = audit_tier_conservation(tier, lines)
     assert violation.startswith("invalid conservation: invalid=4 != 5")
+
+
+def test_respawn_after_a_failed_boot_keeps_the_lost_name(
+    model_path, tmp_path
+):
+    """A lost worker's name survives a failed respawn boot (DESIGN §14):
+    the retry boots ``w0`` again, not a fresh ``w2``."""
+    tier = ServingTier(
+        TierConfig(model_path=model_path, run_dir=str(tmp_path / "run"))
+    )
+    tier.workers["w1"] = None
+    tier._next_worker = 2
+    tier._lost_names.add("w0")
+    boots = []
+
+    async def spawn(name=None):
+        if name is None:
+            name = f"w{tier._next_worker}"
+            tier._next_worker += 1
+        boots.append(name)
+        if boots == ["w0"]:
+            raise TierError("w0 exited before serving")
+        tier.workers[name] = None
+
+    tier._spawn_worker = spawn
+    asyncio.run(tier._ensure_capacity())  # the boot fails
+    assert set(tier.workers) == {"w1"} and tier.n_respawned == 0
+    asyncio.run(tier._ensure_capacity())  # the watch loop's retry
+    assert boots == ["w0", "w0"]
+    assert set(tier.workers) == {"w0", "w1"}
+    assert tier.n_respawned == 1 and not tier._lost_names
 
 
 def test_tier_audit_report_prints_no_unmeasured_p99():

@@ -273,7 +273,7 @@ def _resolve_batch_inputs(source: str) -> list[tuple[str, str]] | None:
     return entries
 
 
-def _cmd_predict_batch(args: argparse.Namespace) -> int:
+def _cmd_predict_many(args: argparse.Namespace) -> int:
     import json
 
     from repro.inference import BatchPredictor
@@ -378,7 +378,6 @@ def _serving_config(args: argparse.Namespace, model_path: str):
         ood_factor=args.ood_factor,
         hot_reload=not args.no_reload,
         max_batch=args.max_batch,
-        max_batch_delay_seconds=args.max_batch_delay_ms / 1000.0,
     )
 
 
@@ -402,7 +401,6 @@ def _worker_serve_flags(args: argparse.Namespace) -> list[str]:
         "--breaker-probes", str(args.breaker_probes),
         "--ood-factor", str(args.ood_factor),
         "--max-batch", str(args.max_batch),
-        "--max-batch-delay-ms", str(args.max_batch_delay_ms),
     ]
 
 
@@ -1217,7 +1215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 1 if the model is unusable or any matrix "
                         "fell back")
-    p.set_defaults(func=_cmd_predict_batch)
+    p.set_defaults(func=_cmd_predict_many)
 
     def add_serving_args(parser, **overrides):
         """Serving knobs, shared by ``serve`` and ``chaos --target serve``.
@@ -1285,10 +1283,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="admission-queue requests drained per micro-batch; the "
                  "predict ops share one vectorized inference pass with "
                  "per-request responses unchanged (1 disables)")
-        parser.add_argument(
-            "--max-batch-delay-ms", type=float, default=0.0, metavar="MS",
-            help="linger this long for more input before processing a "
-                 "short micro-batch (0 = never wait)")
 
     p = sub.add_parser("serve", parents=[profile_parent],
                        help="run the resilient selector service "

@@ -156,21 +156,6 @@ class FrozenSelector:
         TELEMETRY.inc("deploy.predictions", out.shape[0])
         return out
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch prediction; bit-identical to :meth:`predict` per row.
-
-        The whole inference chain (shift/clip, min-max scale, PCA
-        projection, nearest-centroid argmin) runs on elementwise ops and
-        row-stable kernels, so stacking inputs cannot change any label.
-        Zero-row batches are answered with an empty label array.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=object)
-        return self.predict(X)
-
     @property
     def n_centroids(self) -> int:
         return int(self.centroids.shape[0])
@@ -397,20 +382,6 @@ class FallbackSelector:
     def predict_one(self, x: np.ndarray) -> str:
         """Single-sample convenience used by the CLI."""
         return str(self.predict(np.atleast_2d(x))[0])
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch prediction with the same degradation semantics.
-
-        Bit-identical to :meth:`predict` per row when healthy; on a
-        degraded model or a predict-time failure the whole batch falls
-        back, exactly as the single path would for each row.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=object)
-        return self.predict(X)
 
 
 def freeze(selector: ClusterFormatSelector) -> FrozenSelector:

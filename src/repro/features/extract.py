@@ -128,118 +128,15 @@ def stats_for_record(record: MatrixRecord) -> MatrixStats:
 def features_from_stats_batch(stats: list[MatrixStats]) -> np.ndarray:
     """Feature matrix (n × 21, Table-1 order) for a whole stats batch.
 
-    Derivation is vectorised across the batch: the scalar columns are
-    assembled as arrays and combined with numpy ops instead of building
-    one 21-vector per matrix and ``np.vstack``-ing.  Only ``sig_lower`` /
-    ``sig_higher`` keep a per-matrix pass (they reduce each matrix's
-    row-length distribution).  Values are bit-identical to stacking
-    :func:`features_from_stats` row by row.
+    Row ``i`` is :func:`features_from_stats` of ``stats[i]``: the campaign
+    and the serving path derive each matrix's vector the same way, so a
+    matrix has one feature vector wherever it is computed (§4: the
+    features "have to be computed only once").
     """
-    n = len(stats)
-    if n == 0:
-        return np.empty((0, len(FEATURE_NAMES)), dtype=np.float64)
-    as_f64 = lambda attr: np.array(  # noqa: E731 - local column helper
-        [getattr(s, attr) for s in stats], dtype=np.float64
-    )
-    nrows = as_f64("nrows")
-    ncols = as_f64("ncols")
-    nnz = as_f64("nnz")
-    min_row = as_f64("min_row")
-    max_row = as_f64("max_row")
-    # mean/std go through the same cached scalar the per-matrix path uses.
-    mu = as_f64("mean_row")
-    sigma = as_f64("std_row")
-    dia_size = as_f64("dia_size")
-    ell_size = as_f64("ell_padded")
-
-    sig_lower, sig_higher = _batched_sigs(stats, mu)
-
-    def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        out = np.zeros(n, dtype=np.float64)
-        nz = den != 0
-        out[nz] = num[nz] / den[nz]
-        return out
-
-    columns = [
-        nrows,
-        ncols,
-        nnz,
-        nnz / (nrows * ncols),
-        mu,
-        min_row,
-        max_row,
-        sigma,
-        max_row - mu,
-        mu - min_row,
-        as_f64("csr_max"),
-        sig_lower,
-        sig_higher,
-        as_f64("hyb_ell_slots"),
-        as_f64("hyb_coo_entries"),
-        as_f64("hyb_ell_entries"),
-        as_f64("n_diagonals"),
-        dia_size,
-        _guarded_ratio(nnz, dia_size),
-        _guarded_ratio(nnz, ell_size),
-        ell_size,
-    ]
-    return np.column_stack(columns)
-
-
-def _batched_sigs(
-    stats: list[MatrixStats], mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``sig_lower`` / ``sig_higher`` columns for a stats batch.
-
-    One pass over the concatenated row-length distributions replaces the
-    historical per-matrix mask/compact/RMS loop: the below/above masks,
-    deviations, and squares are computed batch-wide, and per-matrix
-    membership *counts* come from an ``np.add.reduceat`` over the
-    concatenation boundaries (exact — integer addition is
-    order-invariant).  The per-matrix *float* sums deliberately do not
-    use ``reduceat``: its left-to-right accumulation is not bit-identical
-    to the pairwise ``np.add.reduce`` inside ``np.mean``, so each
-    matrix's sum reduces a contiguous slice of the compacted
-    squared-deviation array — same values, same order, same pairwise
-    tree as the per-matrix path, hence bit-identical output.
-    """
-    n = len(stats)
-    counts = np.array([s.row_lengths.shape[0] for s in stats], dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    sig_lower = np.zeros(n, dtype=np.float64)
-    sig_higher = np.zeros(n, dtype=np.float64)
-    if total == 0:
-        return sig_lower, sig_higher
-    all_lengths = np.concatenate(
-        [s.row_lengths for s in stats]
-    ).astype(np.float64)
-    mu_rep = np.repeat(mu, counts)
-
-    for sign, out in ((1.0, sig_lower), (-1.0, sig_higher)):
-        devs = sign * (mu_rep - all_lengths)
-        member = devs > 0.0
-        if counts.min() >= 1:
-            seg_counts = np.add.reduceat(
-                member.astype(np.int64), offsets[:-1]
-            )
-        else:  # reduceat cannot express empty segments
-            cum = np.zeros(total + 1, dtype=np.int64)
-            np.cumsum(member, out=cum[1:])
-            seg_counts = cum[offsets[1:]] - cum[offsets[:-1]]
-        sq = devs[member]
-        sq *= sq
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(seg_counts, out=starts[1:])
-        sums = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            lo, hi = starts[i], starts[i + 1]
-            if hi > lo:
-                sums[i] = np.add.reduce(sq[lo:hi])
-        nz = seg_counts > 0
-        out[nz] = np.sqrt(sums[nz] / seg_counts[nz])
-    return sig_lower, sig_higher
+    out = np.empty((len(stats), len(FEATURE_NAMES)), dtype=np.float64)
+    for i, s in enumerate(stats):
+        out[i] = features_from_stats(s)
+    return out
 
 
 def extract_features(matrix: COOMatrix) -> np.ndarray:

@@ -161,7 +161,6 @@ def read_matrix_market_streaming(
     source: str | Path | TextIO,
     policy: ReadPolicy = DEFAULT_POLICY,
     chunk_nnz: int = DEFAULT_CHUNK_NNZ,
-    use_mmap: bool = True,
 ) -> Iterator[MatrixMarketHeader | COOBlock]:
     """Stream a coordinate MatrixMarket file as fixed-size COO blocks.
 
@@ -187,8 +186,8 @@ def read_matrix_market_streaming(
     ``"\\r\\n"`` and ``"\\r"``) and in :class:`io.StringIO` (which keeps
     ``"\\r"`` as data).  Any other iterable is read one item per line.
 
-    For on-disk paths the file is read through ``mmap`` when possible
-    (``use_mmap=True``, the default), falling back to buffered text I/O
+    For on-disk paths the file is read through ``mmap`` when possible,
+    falling back to buffered text I/O (the route a text stream takes)
     for empty files, platforms without mmap, or files containing
     carriage returns (where universal-newline semantics must decide
     line boundaries).
@@ -196,7 +195,7 @@ def read_matrix_market_streaming(
     if chunk_nnz < 1:
         raise ValueError(f"chunk_nnz must be >= 1, got {chunk_nnz}")
     if isinstance(source, (str, Path)):
-        return _stream_path(source, policy, chunk_nnz, use_mmap)
+        return _stream_path(source, policy, chunk_nnz)
     if isinstance(source, io.TextIOBase):
         lines = iter(source.readline, "")
         return _stream_entries(lines, _text_slices(source), policy, chunk_nnz)
@@ -321,27 +320,26 @@ def _parse_size_line(size_line: str, policy: ReadPolicy) -> tuple[int, int, int]
 
 
 def _stream_path(
-    path: str | Path, policy: ReadPolicy, chunk_nnz: int, use_mmap: bool
+    path: str | Path, policy: ReadPolicy, chunk_nnz: int
 ) -> Iterator[MatrixMarketHeader | COOBlock]:
-    if use_mmap:
-        with open(path, "rb") as bf:
-            try:
-                mm = mmap.mmap(bf.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):
-                # Empty file, mmap-less filesystem, ...: buffered text
-                # I/O below handles every case the historical reader did.
-                mm = None
-            if mm is not None:
-                with mm:
-                    # Carriage returns demand universal-newline semantics
-                    # to pick line boundaries exactly as the text-mode
-                    # reader would; one memchr sweep decides the path.
-                    if mm.find(b"\r") == -1:
-                        lines = iter(lambda: mm.readline().decode("latin-1"), "")
-                        yield from _stream_entries(
-                            lines, _mmap_slices(mm), policy, chunk_nnz
-                        )
-                        return
+    with open(path, "rb") as bf:
+        try:
+            mm = mmap.mmap(bf.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            # Empty file, mmap-less filesystem, ...: buffered text
+            # I/O below handles every case the historical reader did.
+            mm = None
+        if mm is not None:
+            with mm:
+                # Carriage returns demand universal-newline semantics
+                # to pick line boundaries exactly as the text-mode
+                # reader would; one memchr sweep decides the path.
+                if mm.find(b"\r") == -1:
+                    lines = iter(lambda: mm.readline().decode("latin-1"), "")
+                    yield from _stream_entries(
+                        lines, _mmap_slices(mm), policy, chunk_nnz
+                    )
+                    return
     # latin-1 decodes every byte sequence, so non-ASCII comment lines
     # in real SuiteSparse files cannot abort the read with a
     # UnicodeDecodeError; malformed *data* still raises

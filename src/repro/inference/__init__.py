@@ -9,7 +9,8 @@ Stylianou & Weiland argue a deployed selector must:
   inference chain — sparse-distribution transform → min-max scale → PCA
   → nearest-centroid labeling — as vectorized NumPy operations on the
   row-stable kernels in :mod:`repro.ml.linalg`, so batch output is
-  **bit-identical** to the single path for every row.
+  **bit-identical** to the single path for every row:
+  ``predict(X)[i] == predict(X[i:i+1])[0]``.
 - :func:`plan_shards` splits large batches into contiguous shards for
   the :mod:`repro.runtime.parallel` pool with per-shard telemetry; a
   failing shard degrades to per-item inference and quarantines only the

@@ -19,27 +19,6 @@ def check_array(X: np.ndarray, name: str = "X") -> np.ndarray:
     return X
 
 
-def check_batch(
-    X: np.ndarray, n_features: int | None = None, name: str = "X"
-) -> np.ndarray:
-    """Validate a 2-D finite float array that may hold zero samples.
-
-    Batch entry points accept empty batches (a sharding planner may
-    produce them at boundaries); :func:`check_array` rejects them because
-    the estimators' math needs at least one row.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{name} contains non-finite values")
-    if n_features is not None and X.shape[1] != n_features:
-        raise ValueError(
-            f"expected {n_features} features, got {X.shape[1]}"
-        )
-    return X
-
-
 def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a feature matrix and an aligned label vector."""
     X = check_array(X)
@@ -74,21 +53,6 @@ class BaseEstimator(abc.ABC):
 
     def fit_predict(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.fit(X, y).predict(X)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Predict a stacked batch; tolerates zero-row input.
-
-        Bit-identical to :meth:`predict` row by row: every estimator's
-        inference path runs on row-stable kernels (``ml.linalg``) or
-        per-row loops, so stacking inputs cannot change any output.
-        Subclasses only override this when batching needs extra state.
-        """
-        X = check_batch(X)
-        if X.shape[0] == 0:
-            classes = getattr(self, "classes_", None)
-            dtype = classes.dtype if classes is not None else np.float64
-            return np.empty(0, dtype=dtype)
-        return self.predict(X)
 
     def _require_fitted(self, attr: str) -> None:
         if not hasattr(self, attr):

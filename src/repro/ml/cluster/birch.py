@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import NotFittedError, check_array, check_batch
+from repro.ml.base import NotFittedError, check_array
 from repro.ml.cluster.kmeans import KMeans
 from repro.ml.knn import pairwise_sq_dists
 from repro.obs import TELEMETRY
@@ -220,15 +220,6 @@ class Birch:
             pairwise_sq_dists(X, self.subcluster_centers_), axis=1
         )
         return self.subcluster_labels_[nearest]
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch assignment; bit-identical to :meth:`predict` per row."""
-        if not hasattr(self, "subcluster_centers_"):
-            raise NotFittedError("Birch must be fitted first")
-        X = check_batch(X, n_features=self.subcluster_centers_.shape[1])
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=self.subcluster_labels_.dtype)
-        return self.predict(X)
 
     def fit_predict(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).labels_

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import NotFittedError, check_array, check_batch
+from repro.ml.base import NotFittedError, check_array
 from repro.ml.knn import pairwise_sq_dists
 from repro.obs import TELEMETRY
 
@@ -129,15 +129,6 @@ class MeanShift:
             raise NotFittedError("MeanShift must be fitted first")
         X = check_array(X)
         return np.argmin(pairwise_sq_dists(X, self.cluster_centers_), axis=1)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch assignment; bit-identical to :meth:`predict` per row."""
-        if not hasattr(self, "cluster_centers_"):
-            raise NotFittedError("MeanShift must be fitted first")
-        X = check_batch(X, n_features=self.cluster_centers_.shape[1])
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.predict(X)
 
     def fit_predict(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).labels_

@@ -1,8 +1,7 @@
 """Row-stable linear algebra kernels for batched inference.
 
 The batch engine's headline guarantee (DESIGN §11) is *bit-identity*:
-``predict_batch(xs)[i] == predict(xs[i : i + 1])[0]`` for every model
-family.  BLAS ``gemm`` cannot honour that contract — its blocking and
+``predict(X)[i] == predict(X[i:i+1])[0]`` for every model family.  BLAS ``gemm`` cannot honour that contract — its blocking and
 accumulation order depend on the operand shapes, so ``(A @ B.T)[i]`` and
 ``(A[i:i+1] @ B.T)[0]`` may differ in the last ulps, and an argmin over
 near-tied distances could then flip a label between the batch and single

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import NotFittedError, check_array, check_batch
+from repro.ml.base import NotFittedError, check_array
 from repro.ml.linalg import rs_matmul_t
 
 
@@ -53,15 +53,6 @@ class PCA:
         # Row-stable product: projecting a batch must be bit-identical
         # to projecting each row alone (see ml/linalg.py).
         return rs_matmul_t(X - self.mean_, self.components_)
-
-    def transform_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch projection; bit-identical to :meth:`transform` per row."""
-        if not hasattr(self, "components_"):
-            raise NotFittedError("PCA must be fitted first")
-        X = check_batch(X, n_features=self.mean_.shape[0])
-        if X.shape[0] == 0:
-            return np.empty((0, self.n_components_))
-        return self.transform(X)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import NotFittedError, check_array, check_batch
+from repro.ml.base import NotFittedError, check_array
 
 
 class MinMaxScaler:
@@ -47,19 +47,6 @@ class MinMaxScaler:
             out = np.clip(out, 0.0, 1.0)
         return out
 
-    def transform_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch scaling; bit-identical to :meth:`transform` per row.
-
-        Elementwise ops are trivially row-stable; this entry point only
-        adds tolerance for zero-row batches.
-        """
-        if not hasattr(self, "span_"):
-            raise NotFittedError("MinMaxScaler must be fitted first")
-        X = check_batch(X, n_features=self.min_.shape[0])
-        if X.shape[0] == 0:
-            return X
-        return self.transform(X)
-
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
 
@@ -83,15 +70,6 @@ class StandardScaler:
                 f"expected {self.mean_.shape[0]} features, got {X.shape[1]}"
             )
         return (X - self.mean_) / self.std_
-
-    def transform_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch scaling; bit-identical to :meth:`transform` per row."""
-        if not hasattr(self, "std_"):
-            raise NotFittedError("StandardScaler must be fitted first")
-        X = check_batch(X, n_features=self.mean_.shape[0])
-        if X.shape[0] == 0:
-            return X
-        return self.transform(X)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
@@ -183,17 +161,6 @@ class SparseDistributionTransformer:
             else:
                 out[:, cols] = np.sqrt(out[:, cols])
         return out
-
-    def transform_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batch transform; bit-identical to :meth:`transform` per row."""
-        if not hasattr(self, "apply_"):
-            raise NotFittedError(
-                "SparseDistributionTransformer must be fitted first"
-            )
-        X = check_batch(X, n_features=self.apply_.shape[0])
-        if X.shape[0] == 0:
-            return X
-        return self.transform(X)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -364,7 +364,7 @@ def run_serve_drill(
             _audit_response(report, answered, expectations, response)
     _audit_coverage(report, answered, expectations)
     report.breaker_opens = server.breaker.n_opens
-    report.p99_latency_ms = server.p99_latency() * 1e3
+    report.p99_latency_ms = server.latency_quantiles()["p99"] or 0.0
     return report
 
 
@@ -454,7 +454,7 @@ def _refused_by_front_end(line: str, max_bytes: int) -> bool:
 
     The line is framed as :func:`~repro.serving.frontend.drive_tier`
     sends it and the front-end parses it: with one trailing newline,
-    which counts toward the byte cap.
+    which the byte cap does not count.
     """
     try:
         parse_request_line(line.rstrip("\n") + "\n", max_bytes)

@@ -94,6 +94,14 @@ TIER_OPS = ("health", "healthz", "metrics", "reload", "shutdown")
 #: Cadence of the watch loop: the hot-reload check and the respawn retry.
 WATCH_INTERVAL_SECONDS = 0.25
 
+#: Line limit of the front-end's connections to its workers.  The request
+#: cap does not bound a worker's answer: ``metrics`` carries a registry
+#: snapshot, and an error answer quotes its request's id or a line of the
+#: matrix file it read, JSON-escaped.  An answer over the limit would end
+#: the worker's connection; the workers are the front-end's own children,
+#: so the limit only stops a runaway line.
+WORKER_LINE_LIMIT = 1 << 30
+
 
 class TierError(RuntimeError):
     """The tier could not be brought up (worker boot failure)."""
@@ -105,8 +113,10 @@ async def read_line(reader: asyncio.StreamReader) -> bytes:
     asyncio's ``readline`` raises ``ValueError`` on such a line and may
     leave its tail in the buffer, to be read as the next line.  Here the
     whole line is discarded through its newline (or EOF) and
-    :class:`LineTooLong` reports its length, so the conversation goes on
-    with the next line.
+    :class:`LineTooLong` reports its length without the newline, so the
+    conversation goes on with the next line.  A stream whose limit is
+    the request cap thus returns exactly the lines whose bytes, newline
+    excluded, fit the cap: the count :func:`parse_request_line` makes.
     """
     try:
         return await reader.readuntil(b"\n")
@@ -119,7 +129,7 @@ async def read_line(reader: asyncio.StreamReader) -> bytes:
         while True:
             n_bytes += len(await reader.readexactly(skip))
             try:
-                n_bytes += len(await reader.readuntil(b"\n"))
+                n_bytes += len(await reader.readuntil(b"\n")) - 1
                 break
             except asyncio.LimitOverrunError as exc:
                 skip = exc.consumed
@@ -227,7 +237,7 @@ class ServingTier:
         self.access_log = access_log
         os.makedirs(config.run_dir, exist_ok=True)
         self.store = ModelStore(os.path.join(config.run_dir, "store"))
-        # Line limit of every asyncio stream the front-end reads: any
+        # Line limit of every client stream the front-end reads: any
         # line under the request cap fits (asyncio's default is 64 KiB).
         self._stream_limit = max(1, config.max_request_bytes)
         # The tier's single shadow validator: only what this host swaps
@@ -327,7 +337,7 @@ class ServingTier:
         while True:
             try:
                 reader, writer = await asyncio.open_unix_connection(
-                    socket_path, limit=self._stream_limit
+                    socket_path, limit=WORKER_LINE_LIMIT
                 )
                 break
             except (OSError, ValueError):

@@ -128,7 +128,7 @@ class RequestParseError(Exception):
 class LineTooLong(ValueError):
     """A line over the byte cap, already discarded through its newline.
 
-    ``n_bytes`` is the whole line's length, newline included: the length
+    ``n_bytes`` is the line's :func:`line_bytes`: the length
     :func:`parse_request_line` reports for the line read whole.
     """
 
@@ -179,18 +179,36 @@ def too_large_response(n_bytes: int, max_bytes: int) -> dict:
     )
 
 
+def line_bytes(line: str) -> int:
+    """UTF-8 length of ``line`` without one trailing ``"\\n"``.
+
+    What the request-line byte cap counts, on every entry point: a line
+    answers the same whether or not its transport kept the newline, and
+    (valid UTF-8) whether it arrived as bytes or as text.  An ASCII line
+    (the usual case) is measured without a copy.
+    """
+    n = len(line) if line.isascii() else len(line.encode("utf-8", "surrogatepass"))
+    return n - 1 if line.endswith("\n") else n
+
+
 def parse_request_line(line: str, max_bytes: int | None = None) -> Request:
     """Parse one JSONL request line into a :class:`Request`.
 
-    Raises :class:`RequestParseError` carrying the ready-to-send
+    The line may end in its ``"\\n"``; the answer is the same without
+    it.  Raises :class:`RequestParseError` carrying the ready-to-send
     ``invalid`` response; the ingestion path never lets a hostile line
     escalate beyond that.
     """
-    if max_bytes is not None and len(line) > max_bytes:
-        raise RequestParseError(too_large_response(len(line), max_bytes))
+    if max_bytes is not None:
+        n_bytes = line_bytes(line)
+        if n_bytes > max_bytes:
+            raise RequestParseError(too_large_response(n_bytes, max_bytes))
     try:
         obj = json.loads(line)
     except (ValueError, TypeError) as exc:
+        if line.endswith("\n"):
+            # Name the error's position in the line without its newline.
+            return parse_request_line(line[:-1])
         raise RequestParseError(
             invalid_response(CODE_BAD_JSON, f"unparseable JSON: {exc}")
         ) from exc

@@ -30,7 +30,6 @@ import os
 import select
 import time
 from collections import Counter as TallyCounter
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -63,6 +62,7 @@ from repro.serving.protocol import (
     encode_response,
     fallback_response,
     invalid_response,
+    line_bytes,
     ok_response,
     overloaded_response,
     parse_request_line,
@@ -99,9 +99,6 @@ class ServingConfig:
     #: (bit-identical to per-item inference — ml/linalg row-stable
     #: kernels).  1 disables micro-batching.
     max_batch: int = 8
-    #: How long ``serve_stream`` lingers for more input before
-    #: processing a short batch (seconds); 0 keeps reads non-blocking.
-    max_batch_delay_seconds: float = 0.0
 
 
 class SelectorServer:
@@ -144,7 +141,6 @@ class SelectorServer:
             else ModelHost(FileLoader(config.model_path))
         )
         self.counters: TallyCounter = TallyCounter()
-        self.latencies: deque[float] = deque(maxlen=4096)
         self.started_at = clock()
         self._online: OnlineFormatSelector | None = None
         self._online_sha: str | None = None
@@ -230,7 +226,6 @@ class SelectorServer:
                         request.id,
                     )
         elapsed = time.perf_counter() - t0
-        self.latencies.append(elapsed)
         self.latency_hist.observe(elapsed)
         if TELEMETRY.enabled:
             TELEMETRY.observe(
@@ -433,7 +428,8 @@ class SelectorServer:
             shed=self.admission.n_shed,
             expired=self.admission.n_expired,
             counters=dict(self.counters),
-            p99_latency_ms=round(self.p99_latency() * 1e3, 3),
+            # Lifetime p99 from the histogram `metrics` reads; 0 when idle.
+            p99_latency_ms=round(self.latency_quantiles()["p99"] or 0.0, 3),
         )
 
     def _op_reload(self, request: Request) -> dict:
@@ -640,61 +636,45 @@ class SelectorServer:
         TELEMETRY.observe("serving.batch_size", float(len(batch)))
         TELEMETRY.inc("serving.microbatch.primed", len(vecs))
 
-    def p99_latency(self) -> float:
-        """p99 of recent request latencies (seconds; 0 when idle)."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = min(len(ordered) - 1, int(0.99 * len(ordered)))
-        return ordered[rank]
-
     # -- transports ---------------------------------------------------------
 
     def _read_line(self, stream) -> str | LineTooLong:
         """``stream.readline()`` bounded by ``max_request_bytes``.
 
-        A longer line is discarded through its newline (or EOF) and comes
-        back as a :class:`LineTooLong`, which :meth:`submit_burst`
-        answers, so the conversation goes on with the next line.
+        A line whose characters fit the cap is returned whole, and
+        :func:`parse_request_line` judges its bytes.  A longer line has
+        more bytes than the cap too: it is discarded through its newline
+        (or EOF) and comes back as a :class:`LineTooLong` with its
+        :func:`line_bytes`, which :meth:`submit_burst` answers, so the
+        conversation goes on with the next line.
         """
         size = max(self.config.max_request_bytes, 0) + 1
         line = stream.readline(size)
-        if len(line) < size:
+        if len(line) < size or line.endswith("\n"):
             return line
-        n_chars = len(line)
+        n_bytes = line_bytes(line)
         while not line.endswith("\n"):
             line = stream.readline(size)
             if not line:
                 break
-            n_chars += len(line)
-        return LineTooLong(n_chars)
+            n_bytes += line_bytes(line)
+        return LineTooLong(n_bytes)
 
-    def _drain_ready(
-        self, stream, limit: int = 256, wait_seconds: float = 0.0
-    ) -> list[str | LineTooLong]:
-        """Opportunistically batch-read lines already waiting on ``stream``.
+    def _drain_ready(self, stream, limit: int = 256) -> list[str | LineTooLong]:
+        """Batch-read the lines already waiting on ``stream``.
 
-        Uses ``select`` on the underlying fd; with ``wait_seconds`` 0 it
-        never blocks, otherwise it lingers up to that budget for more
-        input so short bursts fill a fuller micro-batch
-        (``--max-batch-delay-ms``).  On streams without a real fd
-        (StringIO) it reads nothing and the caller degrades to
-        line-at-a-time processing.
+        A non-blocking ``select`` on the underlying fd; on streams
+        without a real fd (StringIO) it reads nothing and the caller
+        degrades to line-at-a-time processing.
         """
         lines: list[str | LineTooLong] = []
         try:
             fd = stream.fileno()
         except (AttributeError, OSError, ValueError):
             return lines
-        deadline = time.monotonic() + max(wait_seconds, 0.0)
         while len(lines) < limit:
-            timeout = (
-                max(0.0, deadline - time.monotonic())
-                if wait_seconds > 0
-                else 0
-            )
             try:
-                ready, _, _ = select.select([fd], [], [], timeout)
+                ready, _, _ = select.select([fd], [], [], 0)
             except (OSError, ValueError):
                 break
             if not ready:
@@ -714,9 +694,7 @@ class SelectorServer:
             if isinstance(line, str) and not line.strip():
                 continue
             lines = [line] + self._drain_ready(
-                instream,
-                limit=max(256, self.config.max_batch),
-                wait_seconds=self.config.max_batch_delay_seconds,
+                instream, limit=max(256, self.config.max_batch)
             )
             for response in self.submit_burst(lines):
                 outstream.write(encode_response(response) + "\n")
@@ -737,13 +715,13 @@ class SelectorServer:
             server_socket.listen(8)
             while not self._stop:
                 conn, _ = server_socket.accept()
-                with conn:
-                    # Decoded as the front-end decodes: a non-UTF-8
-                    # byte becomes U+FFFD and its line is answered
-                    # like any other, instead of ending the loop.
-                    reader = conn.makefile(
-                        "r", encoding="utf-8", errors="replace"
-                    )
+                # Decoded as the front-end decodes: a non-UTF-8 byte
+                # becomes U+FFFD and its line is answered like any
+                # other, instead of ending the loop.  Closing the reader
+                # with the socket is what lets the peer see EOF.
+                with conn, conn.makefile(
+                    "r", encoding="utf-8", errors="replace"
+                ) as reader:
                     try:
                         self._converse(conn, reader)
                     except (BrokenPipeError, ConnectionResetError):

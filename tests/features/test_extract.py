@@ -6,7 +6,7 @@ import pytest
 from repro.datasets.generators import banded
 from repro.features import FEATURE_NAMES, extract_features, extract_features_collection
 from repro.features.extract import features_from_stats, features_from_stats_batch
-from repro.features.stats import compute_stats
+from repro.features.stats import MatrixStats, compute_stats
 from repro.formats import COOMatrix
 
 
@@ -124,6 +124,29 @@ class TestBatchedDerivation:
         batch = features_from_stats_batch(stats)
         single = features_from_stats(stats[0])
         np.testing.assert_array_equal(batch[0], single)
+
+    def test_bit_identical_past_two_to_the_53(self):
+        """``nrows * ncols`` above 2**53: the quotients are still the
+        per-matrix path's, which divides exact Python integers."""
+        stats = MatrixStats(
+            nrows=628366340,
+            ncols=223636558,
+            nnz=894200084525,
+            row_lengths=np.array([1423, 1424, 1500], dtype=np.int64),
+            n_diagonals=7,
+            band_fraction=0.5,
+            mean_abs_offset=3.0,
+            warp_divergence_slots=10,
+            csr_max=4,
+            hyb_width=1400,
+            hyb_ell_entries=100,
+            hyb_coo_entries=5,
+        )
+        assert stats.nrows * stats.ncols > 2**53
+        single = features_from_stats(stats)
+        assert _f(single, "nnz_frac") == 894200084525 / (628366340 * 223636558)
+        batch = features_from_stats_batch([stats])
+        assert batch[0].tobytes() == single.tobytes()
 
     def test_parallel_stats_pass_identical(self, tiny_collection):
         serial = extract_features_collection(tiny_collection.records, jobs=1)

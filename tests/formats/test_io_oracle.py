@@ -146,8 +146,8 @@ def outcome(read):
     )
 
 
-def streamed(source, policy, chunk_nnz, **kwargs):
-    stream = read_matrix_market_streaming(source, policy, chunk_nnz, **kwargs)
+def streamed(source, policy, chunk_nnz):
+    stream = read_matrix_market_streaming(source, policy, chunk_nnz)
     header = next(stream)
     blocks = list(stream)
     assert all(len(b.rows) <= chunk_nnz for b in blocks)
@@ -197,14 +197,12 @@ def assert_matches_oracle(text: str, path) -> None:
                     generator = (line for line in io.StringIO(text))
                     got = outcome(lambda: streamed(generator, policy, chunk))
                     assert got == expected, (name, size, chunk, "generator")
-                    for use_mmap in (True, False):
-                        got = outcome(
-                            lambda: streamed(
-                                str(path), policy, chunk, use_mmap=use_mmap
-                            )
-                        )
-                        where = (name, size, chunk, use_mmap)
-                        assert got == expected_file, where
+                    got = outcome(lambda: streamed(str(path), policy, chunk))
+                    assert got == expected_file, (name, size, chunk, "path")
+                    # The text route a path takes when it cannot be mapped.
+                    with open(path, encoding="latin-1") as fh:
+                        got = outcome(lambda: streamed(fh, policy, chunk))
+                    assert got == expected_file, (name, size, chunk, "text")
 
 
 # -- bodies: canonical, then mutated --------------------------------------

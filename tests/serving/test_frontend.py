@@ -13,7 +13,8 @@ Covers the tier contracts the single-process suite cannot:
 - Every line the front-end refuses itself is counted once in
   ``n_invalid``, and the tier audit reports a count that is off by one.
 - A request line longer than asyncio's 64 KiB default stream limit
-  gets a typed answer, never a dropped connection.
+  gets a typed answer, never a dropped connection, and a worker answer
+  longer than a small request cap still reaches the client.
 
 These tests boot real worker subprocesses, so they are the slowest in
 the serving suite; request counts are kept small.
@@ -213,7 +214,8 @@ def test_tier_audit_reports_an_invalid_count_off_by_one(
     )
     at_cap = json.dumps({"id": "c", "op": "health", "pad": ""})
     at_cap = at_cap[:-2] + "x" * (64 - len(at_cap)) + '"}'
-    assert len(at_cap) == 64  # its newline takes it over the cap
+    assert len(at_cap) == 64  # its newline does not count: answered
+    over_cap = at_cap[:-2] + 'x"}'
     lines = [
         "{broken json",
         "",
@@ -222,6 +224,7 @@ def test_tier_audit_reports_an_invalid_count_off_by_one(
         "[1]",
         "x" * 100,  # over the stream limit: discarded, then answered
         at_cap,
+        over_cap,
     ]
 
     async def scenario():
@@ -236,7 +239,10 @@ def test_tier_audit_reports_an_invalid_count_off_by_one(
             responses.append(response)
 
     responses = asyncio.run(scenario())
-    assert [r["status"] for r in responses] == [STATUS_INVALID] * 5
+    assert [r["status"] for r in responses] == (
+        [STATUS_INVALID] * 4 + ["ok", STATUS_INVALID]
+    )
+    assert responses[-1] == too_large_response(65, 64)
     assert tier.n_invalid == 5
     assert audit_tier_conservation(tier, lines) == []
     tier.n_invalid += 1
@@ -436,7 +442,7 @@ def _lines(limit: int, chunks: list[bytes], reads: int) -> list:
     ids=["whole", "trickled"],
 )
 def test_read_line_discards_an_over_limit_line_through_its_newline(chunks):
-    assert _lines(16, chunks, 4) == [b"short\n", 41, b"next\n", b""]
+    assert _lines(16, chunks, 4) == [b"short\n", 40, b"next\n", b""]
 
 
 def test_read_line_over_limit_line_at_eof():
@@ -474,7 +480,7 @@ def test_tier_answers_lines_past_asyncios_default_limit(model_path, tmp_path):
 
     tier, (big_answer, huge_answer, bad_answer, after) = asyncio.run(scenario())
     assert big_answer["id"] == "big" and big_answer["status"] == "ok"
-    assert huge_answer == too_large_response(len(huge) + 1, cap)
+    assert huge_answer == too_large_response(len(huge), cap)
     # The same bytes the single-process server gives for those lines.
     server = SelectorServer(
         ServingConfig(model_path=model_path, max_request_bytes=cap)
@@ -486,3 +492,48 @@ def test_tier_answers_lines_past_asyncios_default_limit(model_path, tmp_path):
     assert tier.n_invalid == 2
     assert tier.n_routed == 0
     assert tier.tier_metrics()["serving.invalid"]["value"] == 2.0
+
+
+def test_tier_reads_worker_answers_longer_than_the_request_cap(
+    model_path, tmp_path
+):
+    """The request cap bounds client lines, not the workers' answers.
+
+    Under a 64-byte cap, ``healthz`` and ``metrics`` (built from the
+    worker's own answer) and a routed request whose id the answer quotes
+    JSON-escaped all draw worker lines far over 64 bytes; the worker
+    stays connected and every request is answered.
+    """
+    quoted = '{"op": "predict", "id": "' + "é" * 12 + '"}'
+    assert len(quoted.encode()) <= 64
+
+    async def scenario():
+        tier, task, front = await _boot_tier(
+            str(tmp_path), model_path, 1, max_request_bytes=64
+        )
+        try:
+            reader, writer = await asyncio.open_unix_connection(front)
+            answers = []
+            for line in (
+                '{"id": "h", "op": "healthz"}',
+                '{"id": "m", "op": "metrics"}',
+                quoted,
+            ):
+                writer.write((line + "\n").encode())
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.readline(), 30.0)
+                answers.append(json.loads(raw))
+            writer.close()
+        finally:
+            await _ops(front, "shutdown")
+            await asyncio.wait_for(task, timeout=30.0)
+        return tier, answers
+
+    tier, (healthz, metrics, routed) = asyncio.run(scenario())
+    assert healthz["state"] == "ok"
+    assert healthz["worker_states"] == {"w0": "ok"}
+    assert metrics["workers"] == 1
+    assert routed["code"] == "missing_field"
+    assert routed["id"] == "é" * 12
+    assert tier.n_routed == tier.n_completed == 1
+    assert tier.n_worker_lost == 0

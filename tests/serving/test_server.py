@@ -508,9 +508,14 @@ def test_matrix_by_path_predict(model_path, fake_clock, tmp_path, rng):
 
 
 def test_latency_tracking(model_path, fake_clock):
+    """``health``'s p99 is the lifetime histogram's, 0 before any request."""
     server = make_server(model_path, fake_clock)
-    assert server.p99_latency() == 0.0
+    assert server.latency_quantiles()["p99"] is None
+    health = server.handle_line(json.dumps({"id": "h0", "op": "health"}))
+    assert health["p99_latency_ms"] == 0.0
     for i in range(5):
         server.handle_line(predict_line(i))
-    assert server.p99_latency() > 0.0
-    assert np.isfinite(server.p99_latency())
+    p99 = server.latency_quantiles()["p99"]
+    assert p99 > 0.0 and np.isfinite(p99)
+    health = server.handle_line(json.dumps({"id": "h1", "op": "health"}))
+    assert health["p99_latency_ms"] == round(p99, 3)

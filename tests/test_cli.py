@@ -427,6 +427,16 @@ class TestServeCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_serve_has_no_batch_delay(self, tmp_path, capsys):
+        """Micro-batches take what is already waiting; no linger is parsed."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--model", str(tmp_path / "m.npz"),
+                "--max-batch-delay-ms", "5",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestChaosServe:
     def test_chaos_serve_drill_passes_and_verifies(self, capsys):

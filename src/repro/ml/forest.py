@@ -20,6 +20,26 @@ from repro.ml.tree import (
 )
 
 
+def tree_draws(
+    rng: np.random.Generator, n: int, n_trees: int, bootstrap: bool
+) -> tuple[np.ndarray, list[int]]:
+    """Each tree's sample of ``n`` rows and its seed, in one call.
+
+    Tree by tree, a forest draws ``rng.integers(0, n, size=n)`` (its
+    bootstrap sample, or ``arange(n)`` without bootstrap) and then
+    ``rng.integers(0, 2**31 - 1)`` (its seed).  One call with an array of
+    inclusive bounds makes those draws from the same stream, in the same
+    order, through the same bounded-draw routine.
+    """
+    if not bootstrap:
+        samples = np.tile(np.arange(n), (n_trees, 1))
+        return samples, rng.integers(0, 2**31 - 1, size=n_trees).tolist()
+    draws = rng.integers(
+        0, np.tile([n - 1] * n + [2**31 - 2], n_trees), endpoint=True
+    ).reshape(n_trees, n + 1)
+    return draws[:, :n], draws[:, n].tolist()
+
+
 class RandomForestClassifier(BaseEstimator):
     """Bootstrap-aggregated decision trees."""
 
@@ -47,13 +67,10 @@ class RandomForestClassifier(BaseEstimator):
         X, y = check_X_y(X, y)
         k = n_candidate_features(self.max_features, X.shape[1])
         self.classes_, encoded = encode_labels(y)
-        rng = np.random.default_rng(self.seed)
-        n = X.shape[0]
-        samples = np.empty((self.n_estimators, n), dtype=np.intp)
-        seeds = []
-        for t in range(self.n_estimators):
-            samples[t] = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            seeds.append(int(rng.integers(0, 2**31 - 1)))
+        samples, seeds = tree_draws(
+            np.random.default_rng(self.seed), X.shape[0], self.n_estimators,
+            self.bootstrap,
+        )
         # Each tree keeps the classes its bootstrap sample holds; the
         # node counts hold them in the forest's class columns.
         self._flat, counts, present = grow(

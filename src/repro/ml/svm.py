@@ -25,6 +25,16 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * pairwise_sq_dists(A, B))
 
 
+def _draws(rng: np.random.Generator, high: int, size: int):
+    """Successive ``rng.integers(0, high)`` draws, made ``size`` at a time.
+
+    A call with ``size`` makes the draws that many scalar calls would, in
+    the same order from the same stream, so no value depends on ``size``.
+    """
+    while True:
+        yield from rng.integers(0, high, size=size).tolist()
+
+
 class _BinarySMO:
     """Simplified SMO for a binary SVM over a precomputed kernel matrix."""
 
@@ -43,50 +53,57 @@ class _BinarySMO:
         self.seed = seed
 
     def fit(self, K: np.ndarray, y: np.ndarray) -> "_BinarySMO":
+        # The scalar arithmetic runs on Python floats, which round every
+        # operation as NumPy's float64 scalars do; K and the decision
+        # values stay arrays, read one element at a time.
         n = y.shape[0]
-        rng = np.random.default_rng(self.seed)
-        alpha = np.zeros(n)
+        partners = _draws(np.random.default_rng(self.seed), n - 1, n)
+        C, tol = float(self.C), self.tol
+        ys = y.tolist()
+        alpha = [0.0] * n
         b = 0.0
         passes = 0
         iters = 0
         while passes < self.max_passes and iters < self.max_iter:
             changed = 0
-            f_cache = (alpha * y) @ K + b  # decision values for all points
+            f_cache = (np.array(alpha) * y) @ K + b  # decision values
             for i in range(n):
-                Ei = f_cache[i] - y[i]
-                if (y[i] * Ei < -self.tol and alpha[i] < self.C) or (
-                    y[i] * Ei > self.tol and alpha[i] > 0
+                yi, ai_old = ys[i], alpha[i]
+                Ei = f_cache.item(i) - yi
+                if (yi * Ei < -tol and ai_old < C) or (
+                    yi * Ei > tol and ai_old > 0
                 ):
-                    j = int(rng.integers(0, n - 1))
+                    j = next(partners)
                     if j >= i:
                         j += 1
-                    Ej = f_cache[j] - y[j]
-                    ai_old, aj_old = alpha[i], alpha[j]
-                    if y[i] != y[j]:
+                    yj, aj_old = ys[j], alpha[j]
+                    Ej = f_cache.item(j) - yj
+                    if yi != yj:
                         L = max(0.0, aj_old - ai_old)
-                        H = min(self.C, self.C + aj_old - ai_old)
+                        H = min(C, C + aj_old - ai_old)
                     else:
-                        L = max(0.0, ai_old + aj_old - self.C)
-                        H = min(self.C, ai_old + aj_old)
+                        L = max(0.0, ai_old + aj_old - C)
+                        H = min(C, ai_old + aj_old)
                     if L >= H:
                         continue
-                    eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+                    Kii, Kij, Kjj = K.item(i, i), K.item(i, j), K.item(j, j)
+                    eta = 2.0 * Kij - Kii - Kjj
                     if eta >= 0:
                         continue
-                    aj = aj_old - y[j] * (Ei - Ej) / eta
+                    aj = aj_old - yj * (Ei - Ej) / eta
                     aj = min(H, max(L, aj))
                     if abs(aj - aj_old) < 1e-7:
                         continue
-                    ai = ai_old + y[i] * y[j] * (aj_old - aj)
+                    ai = ai_old + yi * yj * (aj_old - aj)
                     alpha[i], alpha[j] = ai, aj
                     # Update bias from the KKT conditions.
-                    di = y[i] * (ai - ai_old)
-                    dj = y[j] * (aj - aj_old)
-                    b1 = b - Ei - di * K[i, i] - dj * K[i, j]
-                    b2 = b - Ej - di * K[i, j] - dj * K[j, j]
-                    if 0 < ai < self.C:
+                    di = yi * (ai - ai_old)
+                    dj = yj * (aj - aj_old)
+                    b1 = b - Ei - di * Kii - dj * Kij
+                    b2 = b - Ej - di * Kij - dj * Kjj
+                    if 0 < ai < C:
                         b_new = b1
-                    elif 0 < aj < self.C:
+                    elif 0 < aj < C:
                         b_new = b2
                     else:
                         b_new = 0.5 * (b1 + b2)
@@ -97,7 +114,7 @@ class _BinarySMO:
                     changed += 1
             passes = passes + 1 if changed == 0 else 0
             iters += 1
-        self.alpha_ = alpha
+        self.alpha_ = np.array(alpha)
         self.b_ = b
         return self
 

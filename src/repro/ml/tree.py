@@ -272,6 +272,102 @@ def grow(
 #: about a kilobyte per row.
 _MAX_ROWS = 1 << 14
 
+#: Nodes whose candidate features a tree draws in its first call; each
+#: later call of that tree draws for twice as many nodes as its last.
+_DRAW_CHUNK = 8
+
+
+def _floyd(d: int, k: int) -> bool:
+    """Whether ``Generator.choice(d, k, replace=False)`` takes Floyd's
+    method; otherwise it shuffles the tail of ``arange(d)``."""
+    return d <= 10000 or k <= d // 50
+
+
+def choice_plan(d: int, k: int) -> np.ndarray:
+    """Inclusive upper bounds of the draws ``choice(d, k, replace=False)``
+    makes, in order; every draw's lower bound is 0.
+
+    Floyd's method draws one value in ``[0, j]`` for each ``j`` of
+    ``d-k .. d-1``, then shuffles the ``k`` values, drawing in ``[0, i]``
+    for ``i`` from ``k-1`` down to 1.  The tail shuffle draws in
+    ``[0, i]`` for ``i`` from ``d-1`` down to ``max(d-k, 1)``.  The
+    bounds do not depend on the values drawn.
+    """
+    if _floyd(d, k):
+        return np.concatenate((np.arange(d - k, d), np.arange(k - 1, 0, -1)))
+    return np.arange(d - 1, max(d - k, 1) - 1, -1)
+
+
+def replay_choice(draws: np.ndarray, d: int, k: int) -> np.ndarray:
+    """The rows ``choice(d, k, replace=False)`` returns, one per row of
+    ``draws``, which holds one call's draws in the order of
+    :func:`choice_plan`.
+
+    ``rng.integers(0, np.tile(choice_plan(d, k), m), endpoint=True)``
+    makes the draws of ``m`` successive calls: ``choice`` takes each of
+    its bounded draws with the routine ``integers`` runs per element of
+    an array bound, from the same 32-bit stream, and a bound of 0 reads
+    nothing in either.  The replay applies ``choice``'s own algorithm to
+    all rows at once.
+    """
+    rows = np.arange(draws.shape[0])
+
+    def swap(out, i, s):  # out[i] <-> out[s] in every row, as choice does
+        held = out[rows, s]
+        out[rows, s] = out[:, i]
+        out[:, i] = held
+
+    if not _floyd(d, k):
+        out = np.tile(np.arange(d, dtype=np.int64), (rows.shape[0], 1))
+        for i, s in zip(range(d - 1, max(d - k, 1) - 1, -1), draws.T):
+            swap(out, i, s)
+        return out[:, d - k:]
+    out = np.empty((rows.shape[0], k), dtype=np.int64)
+    for p, v in enumerate(draws[:, :k].T):
+        # A value already taken gives way to j = d - k + p itself, which
+        # no earlier draw (each at most j - 1) can have taken.
+        taken = (out[:, :p] == v[:, None]).any(axis=1)
+        out[:, p] = np.where(taken, d - k + p, v)
+    for i, s in zip(range(k - 1, 0, -1), draws[:, k:].T):
+        swap(out, i, s)
+    return out
+
+
+class _FeatureDraws:
+    """Each tree's ``rngs[t].choice(d, k, replace=False)`` calls, replayed
+    in bulk (:func:`replay_choice`).
+
+    A tree that runs out of rows draws for its next ``_DRAW_CHUNK`` nodes
+    in one call, and for twice as many as its last call each time after.
+    Its rows come out in the order its ``choice`` calls would have
+    returned them; rows a tree never takes only advance its own
+    generator.
+    """
+
+    def __init__(self, seeds: list[int], d: int, k: int) -> None:
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.d, self.k = d, k
+        self.plan = choice_plan(d, k)
+        self.size = [_DRAW_CHUNK] * len(seeds)
+        self.rows: list[list[np.ndarray]] = [[] for _ in seeds]  # next last
+
+    def take(self, trees: list[int]) -> list[np.ndarray]:
+        """The next candidate features of each of ``trees``."""
+        short = [t for t in trees if not self.rows[t]]
+        if short:
+            sizes = [self.size[t] for t in short]
+            width = self.plan.shape[0]
+            bounds = np.tile(self.plan, max(sizes))
+            draws = np.concatenate([
+                self.rngs[t].integers(0, bounds[:c * width], endpoint=True)
+                for t, c in zip(short, sizes)
+            ]).reshape(sum(sizes), width)
+            feats = replay_choice(draws, self.d, self.k)
+            for t, rows in zip(short, np.split(feats, np.cumsum(sizes[:-1]))):
+                self.rows[t] = list(rows[::-1])
+                self.size[t] *= 2
+        return [self.rows[t].pop() for t in trees]
+
 
 def _lockstep(
     X, samples, codes, n_classes, seeds, n_candidates, max_depth,
@@ -313,7 +409,7 @@ def _lockstep(
     nodes = [(np.arange(n_trees), zeros, zeros, counts)]
     splits = [(zeros[:0],) * 5]
     next_id = np.ones(n_trees, dtype=np.intp)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = _FeatureDraws(seeds, d, k)
     roots = _can_split(
         counts, n, 0, max_depth, min_samples_split
     ) & (d > 0)
@@ -328,7 +424,7 @@ def _lockstep(
                 break
             if k < d:  # one node per tree, whose draw comes next in preorder
                 owner = live
-                feats = [rngs[t].choice(d, k, replace=False) for t in live]
+                feats = draws.take(live)
             else:  # no draws, so the order of a tree's nodes changes nothing
                 owner = [t for t in live for _ in stacks[t]]
                 feats = [np.arange(d)] * len(owner)

@@ -55,6 +55,7 @@ On top of routing, the front-end runs the tail-latency resilience layer
 from __future__ import annotations
 
 import asyncio
+import codecs
 import json
 import os
 import signal
@@ -80,6 +81,7 @@ from repro.serving.protocol import (
     encode_response,
     fallback_response,
     invalid_response,
+    line_bytes,
     ok_response,
     overloaded_response,
     parse_request_line,
@@ -117,6 +119,12 @@ async def read_line(reader: asyncio.StreamReader) -> bytes:
     conversation goes on with the next line.  A stream whose limit is
     the request cap thus returns exactly the lines whose bytes, newline
     excluded, fit the cap: the count :func:`parse_request_line` makes.
+
+    The length is that of the line decoded with ``"replace"``, as the
+    front-end decodes the lines it keeps and the single-process entry
+    points decode every line: an undecodable byte counts as the three
+    UTF-8 bytes of U+FFFD.  The discarded chunks are decoded one at a
+    time, so counting holds no more than one chunk in memory.
     """
     try:
         return await reader.readuntil(b"\n")
@@ -124,17 +132,20 @@ async def read_line(reader: asyncio.StreamReader) -> bytes:
         return exc.partial  # EOF: the last, unterminated line (or b"")
     except asyncio.LimitOverrunError as exc:
         skip = exc.consumed
+    decoder = codecs.getincrementaldecoder("utf-8")("replace")
     n_bytes = 0
     try:
         while True:
-            n_bytes += len(await reader.readexactly(skip))
+            chunk = await reader.readexactly(skip)
+            n_bytes += line_bytes(decoder.decode(chunk))
             try:
-                n_bytes += len(await reader.readuntil(b"\n")) - 1
+                chunk = await reader.readuntil(b"\n")
+                n_bytes += line_bytes(decoder.decode(chunk, final=True))
                 break
             except asyncio.LimitOverrunError as exc:
                 skip = exc.consumed
     except asyncio.IncompleteReadError as exc:
-        n_bytes += len(exc.partial)
+        n_bytes += line_bytes(decoder.decode(exc.partial, final=True))
     raise LineTooLong(n_bytes)
 
 
@@ -398,6 +409,11 @@ class ServingTier:
         """
         handle.closed = True
         self.workers.pop(handle.name, None)
+        if not self._stopped:
+            # A connection can end while its process lives on, and the
+            # name respawns: nothing would ever stop the old process.
+            # stop() reaps the workers it shuts down itself.
+            handle.kill()
         if handle.name in self.ring:
             self.ring.remove(handle.name)
             self.n_rebalanced += 1
@@ -1007,7 +1023,10 @@ class ServingTier:
             self._watch_task.cancel()
         if self._drain_task is not None and not self._drain_task.done():
             self._drain_task.cancel()
-        for handle in list(self.workers.values()):
+        # A worker that answers the shutdown leaves `workers` when its
+        # connection ends; it is reaped below all the same.
+        fleet = list(self.workers.values())
+        for handle in fleet:
             try:
                 async with handle.lock:
                     if not handle.closed and handle.writer is not None:
@@ -1023,7 +1042,7 @@ class ServingTier:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
         deadline = time.monotonic() + 5.0
-        for handle in list(self.workers.values()):
+        for handle in fleet:
             while (
                 handle.proc is not None
                 and handle.proc.poll() is None

@@ -6,8 +6,11 @@ front-end, and every request id must draw the same response bytes on
 all four.  The corpus holds the drill's predicts and invalid lines
 (without its time-varying ``health`` probes) plus the framing edge
 cases: a line exactly at the byte cap, a line whose characters fit the
-cap but whose UTF-8 bytes do not, truncated JSON, an over-limit line, a
-line trickled a few bytes at a time and a last line with no newline.
+cap but whose UTF-8 bytes do not, truncated JSON, an over-limit line, an
+over-limit line of bytes that are not UTF-8, a line trickled a few bytes
+at a time and a last line with no newline.  Every transport decodes with
+``"replace"``, so ``handle_line`` gets each line as they decode it, and
+an undecodable byte counts as the three UTF-8 bytes of U+FFFD.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _padded(request_id: str, pad: str, n_chars: int) -> str:
     return line[:-2] + pad * (n_chars - len(line)) + '"}'
 
 
-def _corpus() -> tuple[list[str], str, str]:
+def _corpus() -> tuple[list[bytes], str, str]:
     """(whole lines, the trickled line, the last line)."""
     lines, _ = build_request_lines(48, seed=2)
     lines = [line for line in lines if '"op": "health"' not in line]
@@ -53,19 +56,21 @@ def _corpus() -> tuple[list[str], str, str]:
     truncated = '{"id": "t", "op": "predict", "mtx": '
     over = json.dumps({"id": "over", "op": "predict", "mtx": "%" * 3 * CAP})
     lines += [at_cap, wide, truncated, over]
+    # Over the cap in raw bytes already, none of them UTF-8.
+    undecodable = b"\xff" * (CAP + 1)
     slow = json.dumps(
         {"id": "slow", "op": "predict", "mtx": _random_matrix_text(2, 9)}
     )
     last = json.dumps(
         {"id": "last", "op": "predict", "mtx": _random_matrix_text(3, 9)}
     )
-    return lines, slow, last
+    return [line.encode() for line in lines] + [undecodable], slow, last
 
 
-def _send(write, lines: list[str], slow: str, last: str) -> None:
+def _send(write, lines: list[bytes], slow: str, last: str) -> None:
     """The corpus on a byte transport: ``slow`` five bytes at a time,
     ``last`` with no newline."""
-    write("".join(line + "\n" for line in lines).encode())
+    write(b"".join(line + b"\n" for line in lines))
     data = (slow + "\n").encode()
     for i in range(0, len(data), 5):
         write(data[i : i + 5])
@@ -97,9 +102,10 @@ def _over_socket(path: str, lines, slow, last) -> list[bytes]:
 
 def _via_handle_line(model_path, lines, slow, last) -> list[bytes]:
     server = _server(model_path)
+    texts = [line.decode("utf-8", "replace") for line in lines]
     return [
         encode_response(server.handle_line(line)).encode()
-        for line in [*lines, slow, last]
+        for line in [*texts, slow, last]
     ]
 
 
@@ -120,7 +126,7 @@ def _via_serve_stream(model_path, lines, slow, last) -> list[bytes]:
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
     outstream = io.StringIO()
-    with open(read_fd, "r", encoding="utf-8") as instream:
+    with open(read_fd, "r", encoding="utf-8", errors="replace") as instream:
         assert _server(model_path).serve_stream(instream, outstream) == 0
     writer.join(timeout=30)
     return [line.encode() for line in outstream.getvalue().splitlines()]
@@ -167,11 +173,12 @@ def test_four_entry_points_frame_a_corpus_alike(model_path, tmp_path):
     assert json.loads(expected["at_cap"][0])["status"] in ("ok", "fallback")
     assert "wide" not in expected
     refused = [json.loads(raw) for raw in expected[None]]
-    wide_bytes = len(lines[-3].encode())
+    wide_bytes = len(lines[-4])
     assert too_large_response(wide_bytes, CAP) in refused
-    over_bytes = len(lines[-1].encode())
+    over_bytes = len(lines[-2])
     assert too_large_response(over_bytes, CAP) in refused
-    truncated = lines[-2]
+    assert too_large_response(3 * len(lines[-1]), CAP) in refused
+    truncated = lines[-3].decode()
     where = f"line 1 column {len(truncated) + 1} (char {len(truncated)})"
     assert any(
         r.get("code") == "bad_json" and r["error"].endswith(where)

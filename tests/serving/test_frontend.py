@@ -9,6 +9,8 @@ Covers the tier contracts the single-process suite cannot:
 - Killing a worker mid-burst yields typed ``worker_lost`` responses for
   its in-flight requests (no hangs), a respawn, and counters that
   reconcile: ``routed == completed + worker_lost``.
+- A worker whose connection ends while its process lives on is killed
+  when its name respawns, so it cannot outlive the tier.
 - ``metrics`` / ``healthz`` aggregate across workers.
 - Every line the front-end refuses itself is counted once in
   ``n_invalid``, and the tier audit reports a count that is off by one.
@@ -356,6 +358,42 @@ def test_worker_kill_mid_burst_types_errors_and_respawns(
     assert fleet == 2, "fleet did not return to its target size"
     assert tier.n_worker_lost == lost
     assert tier.n_routed == tier.n_completed + tier.n_worker_lost
+
+
+def test_a_worker_whose_connection_ends_does_not_outlive_the_tier(
+    model_path, tmp_path
+):
+    """The front-end's connection to a worker can end while the worker
+    process lives on.  The name respawns, so the old process must be
+    killed then: ``stop()`` reaps only the fleet it shuts down."""
+
+    async def scenario():
+        tier, task, front = await _boot_tier(str(tmp_path), model_path, 1)
+        old = tier.workers["w0"]
+        try:
+            old.writer.transport.abort()
+            for _ in range(2400):  # wait for the respawn to rejoin
+                if tier.workers.get("w0") not in (None, old):
+                    break
+                await asyncio.sleep(0.05)
+            respawned = tier.workers.get("w0") not in (None, old)
+        finally:
+            await _ops(front, "shutdown")
+            await asyncio.wait_for(task, timeout=30.0)
+        return tier, old.proc, respawned
+
+    tier, proc, respawned = asyncio.run(scenario())
+    try:
+        try:
+            proc.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            pass
+        assert respawned and tier.n_respawned == 1
+        assert proc.poll() is not None, "the old w0 outlived the tier"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10.0)
 
 
 def test_worker_keeps_serving_past_a_bitflipped_store_version(

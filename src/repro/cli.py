@@ -55,6 +55,7 @@ Run ``python -m repro <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 import numpy as np
@@ -539,6 +540,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return server.serve_socket(args.socket)
+        # Decoded as serve_socket and the tier front-end decode: a
+        # non-UTF-8 byte becomes U+FFFD and its line is answered like any
+        # other, instead of ending the process.
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(encoding="utf-8", errors="replace")
         return server.serve_stream(sys.stdin, sys.stdout)
     finally:
         if access_log is not None:

@@ -113,49 +113,6 @@ class FlatTree:
         self.depths = depths
         self.depth = max(depths.tolist())
 
-    @classmethod
-    def from_root(cls, root) -> tuple["FlatTree", list]:
-        """One linked tree, breadth first, and its nodes in that order."""
-        nodes = [root]
-        feature: list[int] = []
-        threshold: list[float] = []
-        children: list[int] = []
-        level = [0]
-        for i, node in enumerate(nodes):  # grows while it is walked
-            if node.is_leaf:
-                feature.append(0)
-                threshold.append(0.0)
-                children += (i, i)
-            else:
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                children += (len(nodes) + 1, len(nodes))
-                nodes += (node.left, node.right)
-                level += (level[i] + 1, level[i] + 1)
-        flat = cls(
-            np.array(feature, dtype=np.intp),
-            np.array(threshold, dtype=np.float64),
-            np.array(children, dtype=np.intp),
-            np.array([0, len(nodes)], dtype=np.intp),
-            np.array([max(level)], dtype=np.intp),
-        )
-        return flat, nodes
-
-    @classmethod
-    def stack(cls, trees: list["FlatTree"]) -> "FlatTree":
-        """One-tree FlatTrees as one, in order."""
-        sizes = np.array([tree.feature.shape[0] for tree in trees])
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        children = np.concatenate([tree.children for tree in trees])
-        children += np.repeat(bounds[:-1], 2 * sizes)
-        return cls(
-            np.concatenate([tree.feature for tree in trees]),
-            np.concatenate([tree.threshold for tree in trees]),
-            children,
-            bounds,
-            np.concatenate([tree.depths for tree in trees]),
-        )
-
     def tree(self, t: int) -> "FlatTree":
         """Tree ``t`` alone, sharing these arrays."""
         return FlatTree(
@@ -175,6 +132,19 @@ class FlatTree:
             goes_left = X[rows, self.feature[node]] <= self.threshold[node]
             node = self.children[2 * node + goes_left]
         return node.reshape(self.depths.shape[0], n_rows)
+
+
+def link(nodes: list, feature, threshold, children):
+    """Wire linked ``nodes``, one per node of a flat tree with ids from 0,
+    by its ``feature``, ``threshold`` and ``children`` (the
+    :class:`FlatTree` layout); returns the root."""
+    for i, node in enumerate(nodes):
+        right, left = children[2 * i], children[2 * i + 1]
+        if right != i:
+            node.feature = int(feature[i])
+            node.threshold = float(threshold[i])
+            node.left, node.right = nodes[left], nodes[right]
+    return nodes[0]
 
 
 def n_candidate_features(max_features, n_features: int) -> int:
@@ -636,15 +606,12 @@ class DecisionTreeClassifier(BaseEstimator):
         flat = self._flat
         start, stop = flat.bounds.tolist()
         counts = self._counts[start:stop][:, self._cols]
-        nodes = [_Node(counts=c) for c in counts]
-        for i in range(start, stop):
-            right, left = flat.children[2 * i:2 * i + 2].tolist()
-            if right != i:
-                node = nodes[i - start]
-                node.feature = int(flat.feature[i])
-                node.threshold = float(flat.threshold[i])
-                node.left, node.right = nodes[left - start], nodes[right - start]
-        return nodes[0]
+        return link(
+            [_Node(counts=c) for c in counts],
+            flat.feature[start:stop].tolist(),
+            flat.threshold[start:stop].tolist(),
+            (flat.children[2 * start:2 * stop] - start).tolist(),
+        )
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted("_flat")

@@ -233,3 +233,15 @@ class TestGradientBoosting:
             GradientBoostingClassifier(n_rounds=0)
         with pytest.raises(ValueError):
             GradientBoostingClassifier(subsample=0.0)
+
+    @pytest.mark.parametrize("max_depth", [None, -1, 2.0, "6", True])
+    def test_max_depth_must_be_a_nonnegative_int(self, max_depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            GradientBoostingClassifier(max_depth=max_depth)
+
+    def test_max_depth_zero_fits_root_leaves(self, rng):
+        X, y = _blobs(rng)
+        gb = GradientBoostingClassifier(n_rounds=3, max_depth=0).fit(X, y)
+        assert all(t.root_.is_leaf for r in gb.trees_ for t in r)
+        gb = GradientBoostingClassifier(max_depth=np.int64(2)).fit(X, y)
+        assert gb.predict(X).shape == y.shape

@@ -20,7 +20,11 @@ repeats at the full child, so every drawn ``max_depth`` is finite: with
 depth reaches the recursion limit (pinned by
 ``test_unbounded_depth_on_a_rounding_midpoint_raises``).  Hypothesis
 draws 1-8 trees per forest; a fixed-seed test puts the paper's 100
-trees of mixed depths and class counts through one lockstep fit.
+trees of mixed depths and class counts through one lockstep fit.  It
+draws 1-3 boosting rounds; another fixed-seed test fits the paper's 100
+rounds, late enough for the Hessian bound (a node whose Hessian sum is
+below ``2 * min_child_weight`` is a leaf before any gain is scored) to
+fire, and two crafted nodes pin the bound's edge.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import HYPOTHESIS_SCALE
 
+from repro.ml import boosting
 from repro.ml.boosting import GradientBoostingClassifier, _softmax
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
@@ -364,14 +369,25 @@ def test_boosted_trees_match_per_feature_search(
         subsample=subsample,
         seed=seed,
     ).fit(X, y)
-    # The boosting loop around the oracle trees, as GradientBoosting.fit.
+    _assert_boosted_matches_oracle(gb, X, y, X_fresh)
+
+
+def _assert_boosted_matches_oracle(gb, X, y, X_fresh):
+    """Every tree of ``gb`` equals the oracle's, grown by the boosting loop
+    around the oracle trees, as GradientBoosting.fit, and
+    ``decision_function`` equals the oracle trees' margins on
+    ``X_fresh``.  Returns how many trees' samples had a Hessian sum below
+    ``2 * min_child_weight``."""
+    max_depth, gamma = gb.max_depth, gb.gamma
+    min_child_weight, subsample = gb.min_child_weight, gb.subsample
     classes, encoded = np.unique(y, return_inverse=True)
     n, k = X.shape[0], classes.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(gb.seed)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), encoded] = 1.0
     F = np.zeros((n, k))
     F_fresh = np.zeros((X_fresh.shape[0], k))
+    below = 0
     for round_trees in gb.trees_:
         P = _softmax(F) if k > 1 else np.ones((n, 1))
         if subsample < 1.0:
@@ -382,6 +398,7 @@ def test_boosted_trees_match_per_feature_search(
         for c, fitted in enumerate(round_trees):
             g = P[:, c] - onehot[:, c]
             h = np.maximum(P[:, c] * (1.0 - P[:, c]), 1e-16)
+            below += bool(h[sample].sum() < 2 * min_child_weight)
             oracle = _oracle_gradient_tree(
                 X[sample], g[sample], h[sample],
                 max_depth, gb.reg_lambda, gamma, min_child_weight,
@@ -392,6 +409,7 @@ def test_boosted_trees_match_per_feature_search(
                 oracle, X_fresh
             )
     assert gb.decision_function(X_fresh).tobytes() == F_fresh.tobytes()
+    return below
 
 
 @pytest.mark.parametrize("seed", [10, 21, 50])
@@ -438,6 +456,89 @@ def test_paper_sized_forest_matches_per_feature_search(seed):
     assert len(widths) >= 3 and max(widths) >= 8
     assert len({t.depth() for t in rf.trees_}) >= 3
     _assert_forest_matches_oracle(rf, X, y, X_fresh)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_paper_sized_boosting_matches_per_feature_search(seed):
+    """The paper's XGBoost (100 rounds, depth 6) on 30 tie-heavy rows of
+    3 classes.  Hypothesis draws 1-3 rounds, but the Hessian bound fires
+    mostly late, once ``p(1 - p)`` has shrunk: here many trees' samples
+    sum below ``2 * min_child_weight``, and every tree must still equal
+    the oracle's."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 4, (30, 2)).astype(float),
+        np.round(rng.standard_normal((30, 2)), 1),
+        1.0 + np.spacing(1.0) * rng.integers(0, 4, 30),
+    ])
+    X[24:] = X[rng.integers(0, 24, 6)]
+    y = (X[:, 0] + X[:, 1] > 3).astype(int) + (X[:, 2] > 0.5)
+    noise = rng.random(30) < 0.2
+    y[noise] = rng.integers(0, 3, noise.sum())
+    X_fresh = np.vstack([
+        np.column_stack([
+            rng.integers(0, 4, (16, 2)).astype(float),
+            np.round(rng.standard_normal((16, 2)), 1),
+            1.0 + np.spacing(1.0) * rng.integers(0, 4, 16),
+        ]),
+        X[:8],
+    ])
+    gb = GradientBoostingClassifier(n_rounds=100, max_depth=6, seed=seed)
+    gb.fit(X, y)
+    assert gb.classes_.shape[0] == 3
+    assert len({t.root_.is_leaf for r in gb.trees_ for t in r}) == 2
+    assert _assert_boosted_matches_oracle(gb, X, y, X_fresh) > 0
+
+
+def _grown(X, g, h, mcw, monkeypatch):
+    """One tree grown on all of ``X`` at depth 6 and the number of nodes
+    whose gains were scored."""
+    scored = []
+
+    def spy(*args):
+        scored.append(args)
+        return best_split(*args)
+
+    best_split = boosting._best_split
+    monkeypatch.setattr(boosting, "_best_split", spy)
+    out = np.full(X.shape[0], np.nan)
+    tree = boosting._grow(
+        boosting._Block(np.ascontiguousarray(X.T), np.arange(X.shape[0])),
+        g, h, out, 6, 1.0, 0.0, mcw,
+    )
+    oracle = _oracle_gradient_tree(X, g, h, 6, 1.0, 0.0, mcw)
+    assert _reg_tuple(tree.root_) == oracle
+    assert out.tobytes() == _oracle_tree_predict(oracle, X).tobytes()
+    return tree, len(scored)
+
+
+# Four rows in an order their values do not sort, gradients that favour
+# the 2|2 cut, and min_child_weight 1.
+_BOUND_X = np.array([[2.0], [0.0], [3.0], [1.0]])
+_BOUND_G = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def test_hessian_sum_at_twice_min_child_weight_splits(monkeypatch):
+    """h sums to exactly 2 * mcw: the 2|2 cut leaves mcw on each side, so
+    it is allowed and wins.  Only the root is scored: each child's sum,
+    1.0, is below 2 * mcw."""
+    h = np.full(4, 0.5)
+    tree, scored = _grown(_BOUND_X, _BOUND_G, h, 1.0, monkeypatch)
+    assert not tree.root_.is_leaf
+    assert tree.root_.left.is_leaf and tree.root_.right.is_leaf
+    assert scored == 1
+
+
+def test_hessian_sum_an_ulp_below_twice_min_child_weight_is_a_leaf(
+    monkeypatch,
+):
+    """h sums to one ulp below 2 * mcw: no cut leaves mcw on both sides,
+    and the node is a leaf before any gain is scored."""
+    h = np.array([0.5, 0.5, 0.5, np.nextafter(2.0, 0.0) - 1.5])
+    assert h.sum() == np.nextafter(2.0, 0.0)
+    tree, scored = _grown(_BOUND_X, _BOUND_G, h, 1.0, monkeypatch)
+    assert tree.root_.is_leaf
+    assert scored == 0
 
 
 @pytest.mark.parametrize("model", [

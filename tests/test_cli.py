@@ -417,6 +417,43 @@ class TestServeCommand:
         assert first["reason"] == "model_unusable"
         assert first["format"] == "csr"
 
+    def test_serve_stdin_answers_past_a_non_utf8_line(self, tmp_path):
+        """Under a strict UTF-8 stdin, a line of non-UTF-8 bytes gets the
+        answer ``handle_line`` gives its replace-decoded text, the lines
+        around it are answered, and the process exits 0."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.serving.drill import synthetic_frozen_selector
+        from repro.serving.server import SelectorServer, ServingConfig
+
+        model = str(tmp_path / "selector.npz")
+        synthetic_frozen_selector(seed=2).save(model)
+        bad = b"\xff\xfe\n"
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--model", model],
+            input=b'{"id":"a","op":"health"}\n' + bad
+            + b'{"id":"b","op":"healthz"}\n',
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        answers = [json.loads(line) for line in done.stdout.splitlines()]
+        assert sorted(str(r["id"]) for r in answers) == ["None", "a", "b"]
+        by_id = {r["id"]: r for r in answers}
+        assert by_id["a"]["status"] == by_id["b"]["status"] == "ok"
+        expected = SelectorServer(ServingConfig(model_path=model)).handle_line(
+            bad.decode("utf-8", errors="replace")
+        )
+        assert by_id[None] == json.loads(json.dumps(expected))
+
     @pytest.mark.parametrize(
         "flag", [["--workers-min", "1"], ["--workers-max", "4"]]
     )
